@@ -209,20 +209,15 @@ func TestServeAtlasSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m struct {
-		Atlas *struct {
-			Hits      uint64 `json:"hits"`
-			Neighbors uint64 `json:"neighbors"`
-			Entries   int    `json:"entries"`
-		} `json:"atlas"`
-	}
+	var m map[string]any
 	err = json.NewDecoder(jresp.Body).Decode(&m)
 	jresp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Atlas == nil || m.Atlas.Hits != 1 || m.Atlas.Neighbors != 1 {
-		t.Fatalf("/v1/metrics atlas section: %+v", m.Atlas)
+	if m["atlas_hits_total"] != 1.0 || m["atlas_neighbor_total"] != 1.0 || m["atlas_entries"] != 5.0 {
+		t.Fatalf("/v1/metrics atlas series: hits=%v neighbors=%v entries=%v",
+			m["atlas_hits_total"], m["atlas_neighbor_total"], m["atlas_entries"])
 	}
 
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {

@@ -629,16 +629,16 @@ func (a *Atlas) GC(stale func(Entry) bool) ([]string, error) {
 	return removed, nil
 }
 
-// Stats is a point-in-time atlas snapshot for /v1/metrics and listings.
+// Stats is a point-in-time atlas snapshot for listings and atlas_entries.
 type Stats struct {
 	// Entries counts committed entries; Keys counts distinct exact
 	// identities; Families counts shape-independent groups.
-	Entries  int `json:"entries"`
-	Keys     int `json:"keys"`
-	Families int `json:"families"`
+	Entries  int
+	Keys     int
+	Families int
 	// Corrupt counts unreadable or uncommitted entries seen at Open and
 	// not yet swept by GC.
-	Corrupt int `json:"corrupt"`
+	Corrupt int
 }
 
 // Stats snapshots index counters.

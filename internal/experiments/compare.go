@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -16,8 +17,11 @@ type MethodSeries struct {
 	// Checkpoints holds the x-axis: evaluation counts (iso-iteration) or
 	// elapsed durations (iso-time, stored as nanoseconds).
 	Checkpoints []float64
-	// Values holds the mean best-so-far normalized EDP at each checkpoint.
+	// Values holds the mean best-so-far normalized EDP over all repeats at
+	// each checkpoint, NaN where some repeat had recorded no sample yet;
+	// Counts holds how many repeats had one.
 	Values []float64
+	Counts []int
 	// FinalMean is the mean final best normalized EDP across repeats.
 	FinalMean float64
 	// EvalsMean is the mean number of evaluations performed.
@@ -121,7 +125,7 @@ func (h *Harness) runComparison(mode string, budget search.Budget, latency time.
 		pc := ProblemComparison{Problem: prob.Name}
 		for _, method := range methods {
 			series := MethodSeries{Method: method.Name(), Checkpoints: checkpoints}
-			sums := make([]float64, len(checkpoints))
+			var runs []search.Result
 			var finalSum, evalSum float64
 			var elapsedSum time.Duration
 			for rep := 0; rep < h.opts.Repeats; rep++ {
@@ -134,21 +138,13 @@ func (h *Harness) runComparison(mode string, budget search.Budget, latency time.
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s on %s: %w", method.Name(), prob.Name, err)
 				}
-				for i, cp := range checkpoints {
-					if mode == "iso-iteration" {
-						sums[i] += res.BestAt(int(cp))
-					} else {
-						sums[i] += res.BestAtTime(time.Duration(cp))
-					}
-				}
+				runs = append(runs, res)
 				finalSum += res.BestEDP
 				evalSum += float64(res.Evals)
 				elapsedSum += res.Elapsed
 			}
+			series.Values, series.Counts = checkpointMeans(runs, checkpoints, mode)
 			reps := float64(h.opts.Repeats)
-			for i := range sums {
-				series.Values = append(series.Values, sums[i]/reps)
-			}
 			series.FinalMean = finalSum / reps
 			series.EvalsMean = evalSum / reps
 			if evalSum > 0 {
@@ -160,6 +156,37 @@ func (h *Harness) runComparison(mode string, budget search.Budget, latency time.
 	}
 	h.fillRatios(cmp)
 	return cmp, nil
+}
+
+// checkpointMeans averages the runs' best-so-far curves at each
+// checkpoint (evaluation counts, or durations in iso-time mode). A mean is
+// NaN unless every run had a sample by then: a mean over only the runs
+// that had started would rise when a later run joins with a worse value.
+// counts holds how many runs had a sample at each checkpoint.
+func checkpointMeans(runs []search.Result, checkpoints []float64, mode string) (means []float64, counts []int) {
+	for _, cp := range checkpoints {
+		sum, n := 0.0, 0
+		for _, res := range runs {
+			var best float64
+			var ok bool
+			if mode == "iso-iteration" {
+				best, ok = res.BestAt(int(cp))
+			} else {
+				best, ok = res.BestAtTime(time.Duration(cp))
+			}
+			if ok {
+				sum += best
+				n++
+			}
+		}
+		mean := math.NaN()
+		if n == len(runs) && n > 0 {
+			mean = sum / float64(n)
+		}
+		means = append(means, mean)
+		counts = append(counts, n)
+	}
+	return means, counts
 }
 
 // fillRatios computes the headline geomean ratios against Mind Mappings.
@@ -189,6 +216,15 @@ func (h *Harness) fillRatios(cmp *Comparison) {
 	}
 }
 
+// cell renders checkpoint i: "-" where the mean is missing because some
+// repeat had no sample yet.
+func (s *MethodSeries) cell(i int) string {
+	if math.IsNaN(s.Values[i]) {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f", s.Values[i])
+}
+
 // Render writes the comparison as the textual analog of Figures 5/6 plus
 // the summary ratios.
 func (c *Comparison) Render(w io.Writer) {
@@ -210,7 +246,7 @@ func (c *Comparison) Render(w io.Writer) {
 				fmt.Fprintf(w, "%-8d", int(cp))
 			}
 			for _, s := range pc.Series {
-				fmt.Fprintf(w, "%12.1f", s.Values[i])
+				fmt.Fprintf(w, "%12s", s.cell(i))
 			}
 			fmt.Fprintln(w)
 		}

@@ -3,17 +3,46 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mindmappings/internal/search"
 )
 
-// The harness trains surrogates on first use; share one across tests.
+// The harness trains surrogates on first use; share one across tests,
+// along with the Figure 5/6 comparisons several tests inspect.
 var (
 	harnessOnce sync.Once
 	harnessFix  *Harness
+
+	isoIterOnce, isoTimeOnce sync.Once
+	isoIterCmp, isoTimeCmp   *Comparison
+	isoIterErr, isoTimeErr   error
 )
+
+func isoIterationFast(t *testing.T) *Comparison {
+	t.Helper()
+	h := fastHarness(t)
+	isoIterOnce.Do(func() { isoIterCmp, isoIterErr = h.RunIsoIteration() })
+	if isoIterErr != nil {
+		t.Fatal(isoIterErr)
+	}
+	return isoIterCmp
+}
+
+func isoTimeFast(t *testing.T) *Comparison {
+	t.Helper()
+	h := fastHarness(t)
+	isoTimeOnce.Do(func() { isoTimeCmp, isoTimeErr = h.RunIsoTime() })
+	if isoTimeErr != nil {
+		t.Fatal(isoTimeErr)
+	}
+	return isoTimeCmp
+}
 
 func fastHarness(t testing.TB) *Harness {
 	t.Helper()
@@ -138,11 +167,7 @@ func TestSpaceStats(t *testing.T) {
 }
 
 func TestIsoIterationFast(t *testing.T) {
-	h := fastHarness(t)
-	cmp, err := h.RunIsoIteration()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmp := isoIterationFast(t)
 	if len(cmp.Problems) != 2 {
 		t.Fatalf("%d problems", len(cmp.Problems))
 	}
@@ -170,11 +195,7 @@ func TestIsoIterationFast(t *testing.T) {
 }
 
 func TestIsoTimeFast(t *testing.T) {
-	h := fastHarness(t)
-	cmp, err := h.RunIsoTime()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmp := isoTimeFast(t)
 	for _, pc := range cmp.Problems {
 		mm := pc.FinalFor("MM")
 		if mm <= 0 {
@@ -200,6 +221,111 @@ func TestIsoTimeFast(t *testing.T) {
 			t.Errorf("%s: MM evals %v not clearly above SA evals %v under latency",
 				pc.Problem, mmEvals, saEvals)
 		}
+	}
+}
+
+// renderedSeries parses Render's checkpoint rows back into one column of
+// cells per method: "" where the table prints "-", else the mean.
+func renderedSeries(t *testing.T, out string) [][]string {
+	t.Helper()
+	var tables [][]string
+	inRows := false
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) > 0 && f[0] == "x":
+			inRows = true
+			for range f[1:] {
+				tables = append(tables, nil)
+			}
+		case len(f) > 0 && f[0] == "final":
+			inRows = false
+		case inRows && len(f) > 1:
+			cols := tables[len(tables)-(len(f)-1):]
+			for j, cell := range f[1:] {
+				if cell == "-" {
+					cell = ""
+				}
+				cols[j] = append(cols[j], cell)
+			}
+		}
+	}
+	return tables
+}
+
+// assertRenderedNonIncreasing renders cmp and checks the resampler
+// contract: every method's best-so-far column is non-increasing, and a
+// "-" (no mean yet) only ever precedes the first value — the final best
+// is never back-filled into early checkpoints.
+func assertRenderedNonIncreasing(t *testing.T, cmp *Comparison) {
+	t.Helper()
+	var buf bytes.Buffer
+	cmp.Render(&buf)
+	series := renderedSeries(t, buf.String())
+	if len(series) == 0 {
+		t.Fatalf("%s: no series parsed from:\n%s", cmp.Mode, buf.String())
+	}
+	for _, col := range series {
+		prev := math.Inf(1)
+		seen := false
+		for i, cell := range col {
+			if cell == "" {
+				if seen {
+					t.Fatalf("%s: checkpoint %d lost its mean after one was shown:\n%s", cmp.Mode, i, buf.String())
+				}
+				continue
+			}
+			seen = true
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatalf("%s: bad cell %q", cmp.Mode, cell)
+			}
+			if v > prev {
+				t.Fatalf("%s: series rises from %v to %v at checkpoint %d:\n%s", cmp.Mode, prev, v, i, buf.String())
+			}
+			prev = v
+		}
+		if !seen {
+			t.Fatalf("%s: a method has no mean at any checkpoint:\n%s", cmp.Mode, buf.String())
+		}
+	}
+}
+
+// TestRenderedSeriesNonIncreasing pins the resampler fix on the Figure 5
+// and Figure 6 tables.
+func TestRenderedSeriesNonIncreasing(t *testing.T) {
+	for _, cmp := range []*Comparison{isoIterationFast(t), isoTimeFast(t)} {
+		assertRenderedNonIncreasing(t, cmp)
+	}
+}
+
+// TestCheckpointMeansWaitForEveryRepeat averages two repeats whose first
+// samples come at different times. Averaging only the repeats that had
+// started would print 10 at 1ms and then 20 at 2ms, a rise; the mean
+// instead waits until both repeats have a sample.
+func TestCheckpointMeansWaitForEveryRepeat(t *testing.T) {
+	runs := []search.Result{
+		{Trajectory: []search.Sample{{Eval: 1, Elapsed: time.Millisecond, BestEDP: 10}, {Eval: 3, Elapsed: 3 * time.Millisecond, BestEDP: 5}}},
+		{Trajectory: []search.Sample{{Eval: 2, Elapsed: 2 * time.Millisecond, BestEDP: 30}, {Eval: 3, Elapsed: 3 * time.Millisecond, BestEDP: 4}}},
+	}
+	for _, tc := range []struct {
+		mode        string
+		checkpoints []float64
+	}{
+		{"iso-iteration", []float64{1, 2, 4}},
+		{"iso-time", []float64{float64(time.Millisecond), float64(2 * time.Millisecond), float64(4 * time.Millisecond)}},
+	} {
+		means, counts := checkpointMeans(runs, tc.checkpoints, tc.mode)
+		if !math.IsNaN(means[0]) || means[1] != 20 || means[2] != 4.5 {
+			t.Errorf("%s: means %v, want [NaN 20 4.5]", tc.mode, means)
+		}
+		if !slices.Equal(counts, []int{1, 2, 2}) {
+			t.Errorf("%s: counts %v, want [1 2 2]", tc.mode, counts)
+		}
+		cmp := &Comparison{Mode: tc.mode, Problems: []ProblemComparison{{Problem: "p", Series: []MethodSeries{
+			{Method: "M", Checkpoints: tc.checkpoints, Values: means, Counts: counts},
+		}}}}
+		assertRenderedNonIncreasing(t, cmp)
 	}
 }
 

@@ -523,13 +523,13 @@ func (s *Store) GC(keep int) ([]string, error) {
 	return removed, nil
 }
 
-// Stats is a point-in-time store snapshot for /v1/metrics.
+// Stats is a point-in-time store snapshot (the store_* series).
 type Stats struct {
-	Artifacts int `json:"artifacts"`
-	Workloads int `json:"workloads"`
+	Artifacts int
+	Workloads int
 	// Corrupt counts unreadable or uncommitted entries seen at Open and
 	// not yet swept by GC.
-	Corrupt int `json:"corrupt"`
+	Corrupt int
 }
 
 // Stats snapshots index counters.

@@ -208,14 +208,22 @@ func TestRegistryReusesAndValidates(t *testing.T) {
 }
 
 func TestRuntimeStats(t *testing.T) {
-	rs := ReadRuntime(time.Now().Add(-time.Second))
-	if rs.Goroutines < 1 || rs.GoVersion == "" || rs.NumCPU < 1 {
-		t.Fatalf("implausible runtime stats: %+v", rs)
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r, time.Now().Add(-time.Second))
+	snap := r.Snapshot()
+	if g, _ := snap["go_goroutines"].(float64); g < 1 {
+		t.Fatalf("go_goroutines = %v", snap["go_goroutines"])
 	}
-	if rs.UptimeS < 0.9 {
-		t.Fatalf("uptime = %v, want ~1s", rs.UptimeS)
+	if up, _ := snap["process_uptime_seconds"].(float64); up < 0.9 {
+		t.Fatalf("process_uptime_seconds = %v, want ~1s", snap["process_uptime_seconds"])
 	}
-	if !strings.HasPrefix(rs.GoVersion, "go") {
-		t.Fatalf("go version = %q", rs.GoVersion)
+	found := false
+	for k := range snap {
+		if strings.HasPrefix(k, `build_info{go_version="go`) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("build_info series missing its go version: %v", snap)
 	}
 }

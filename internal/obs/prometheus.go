@@ -52,19 +52,23 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
+// value reads a counter or gauge series.
+func (c *child) value() float64 {
+	switch {
+	case c.gaugeF != nil:
+		return c.gaugeF()
+	case c.ctr != nil:
+		return float64(c.ctr.Value())
+	case c.gauge != nil:
+		return c.gauge.Value()
+	}
+	return 0
+}
+
 func writeChild(bw *bufio.Writer, f *family, c *child) {
 	switch f.kind {
 	case kindCounter, kindGauge:
-		v := 0.0
-		switch {
-		case c.gaugeF != nil:
-			v = c.gaugeF()
-		case c.ctr != nil:
-			v = float64(c.ctr.Value())
-		case c.gauge != nil:
-			v = c.gauge.Value()
-		}
-		writeSample(bw, f.name, "", f.labelNames, c.labels, "", "", v)
+		writeSample(bw, f.name, "", f.labelNames, c.labels, "", "", c.value())
 	case kindHistogram:
 		h := c.hist
 		if h == nil {
@@ -85,38 +89,84 @@ func writeChild(bw *bufio.Writer, f *family, c *child) {
 	}
 }
 
-// writeSample emits one `name{labels} value` line, appending the optional
-// extra label (the histogram le) after the family labels.
+// textWriter is what series keys are written to: the exposition's buffered
+// writer or the JSON snapshot's key builder.
+type textWriter interface {
+	WriteString(string) (int, error)
+	WriteByte(byte) error
+}
+
+// writeSample emits one `name{labels} value` line.
 func writeSample(bw *bufio.Writer, name, suffix string, labelNames, labelValues []string, extraName, extraValue string, v float64) {
-	bw.WriteString(name)
-	bw.WriteString(suffix)
-	if len(labelNames) > 0 || extraName != "" {
-		bw.WriteByte('{')
-		first := true
-		for i, ln := range labelNames {
-			if !first {
-				bw.WriteByte(',')
-			}
-			first = false
-			bw.WriteString(ln)
-			bw.WriteString(`="`)
-			bw.WriteString(escapeLabel(labelValues[i]))
-			bw.WriteByte('"')
-		}
-		if extraName != "" {
-			if !first {
-				bw.WriteByte(',')
-			}
-			bw.WriteString(extraName)
-			bw.WriteString(`="`)
-			bw.WriteString(extraValue)
-			bw.WriteByte('"')
-		}
-		bw.WriteByte('}')
-	}
+	writeSeries(bw, name, suffix, labelNames, labelValues, extraName, extraValue)
 	bw.WriteByte(' ')
 	bw.WriteString(formatFloat(v))
 	bw.WriteByte('\n')
+}
+
+// writeSeries emits a series identity, `name{labels}`, appending the
+// optional extra label (the histogram le) after the family labels.
+func writeSeries(w textWriter, name, suffix string, labelNames, labelValues []string, extraName, extraValue string) {
+	w.WriteString(name)
+	w.WriteString(suffix)
+	if len(labelNames) == 0 && extraName == "" {
+		return
+	}
+	w.WriteByte('{')
+	first := true
+	for i, ln := range labelNames {
+		if !first {
+			w.WriteByte(',')
+		}
+		first = false
+		w.WriteString(ln)
+		w.WriteString(`="`)
+		w.WriteString(escapeLabel(labelValues[i]))
+		w.WriteByte('"')
+	}
+	if extraName != "" {
+		if !first {
+			w.WriteByte(',')
+		}
+		w.WriteString(extraName)
+		w.WriteString(`="`)
+		w.WriteString(extraValue)
+		w.WriteByte('"')
+	}
+	w.WriteByte('}')
+}
+
+// Snapshot renders every registered series for JSON, walking the same
+// families WritePrometheus walks, so a metric registered anywhere appears
+// in both views. Keys are the exposition series identity, `name{labels}`.
+// Counters and gauges map to their value (non-finite values as their
+// exposition spelling, "+Inf"/"-Inf"/"NaN", which JSON numbers cannot
+// carry); histograms map to their count/sum/p50/p95/p99 summary.
+func (r *Registry) Snapshot() map[string]any {
+	out := make(map[string]any)
+	var key strings.Builder
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range r.names {
+		f := r.families[name]
+		for _, k := range f.order {
+			c := f.children[k]
+			key.Reset()
+			writeSeries(&key, f.name, "", f.labelNames, c.labels, "", "")
+			switch {
+			case f.kind == kindHistogram && c.hist != nil:
+				out[key.String()] = c.hist.Summary()
+			case f.kind != kindHistogram:
+				v := c.value()
+				if math.IsInf(v, 0) || math.IsNaN(v) {
+					out[key.String()] = formatFloat(v)
+				} else {
+					out[key.String()] = v
+				}
+			}
+		}
+	}
+	return out
 }
 
 func formatFloat(v float64) string {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +60,64 @@ func TestPrometheusExposition(t *testing.T) {
 	// Families must be in lexical order for stable diffs.
 	if strings.Index(out, "build_info") > strings.Index(out, "mm_jobs_total") {
 		t.Fatal("families not sorted lexically")
+	}
+}
+
+// TestSnapshotMatchesExposition pins the JSON renderer to the exposition:
+// every counter/gauge sample and every histogram _sum/_count appears in the
+// snapshot under the same series identity with the same value.
+func TestSnapshotMatchesExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("mm_jobs_total", "Jobs.").Add(3)
+	r.GaugeWith("mm_depth", "Depth.", []string{"model", "q"}, []string{`a"b`, "x"}).Set(2.5)
+	r.GaugeFunc("mm_burn", "Burn.", func() float64 { return math.Inf(1) })
+	r.CounterWith("mm_evals_total", "Evals.", []string{"backend"}, []string{"timeloop"}).Add(10)
+	h := r.Histogram("mm_request_seconds", "Latency.", []float64{0.001, 0.01, 0.1})
+	for _, v := range []float64{0.0005, 0.005, 0.05} {
+		h.Observe(v)
+	}
+	snap := r.Snapshot()
+	want := map[string]any{
+		"mm_jobs_total":                      3.0,
+		`mm_depth{model="a\"b",q="x"}`:       2.5,
+		"mm_burn":                            "+Inf",
+		`mm_evals_total{backend="timeloop"}`: 10.0,
+	}
+	for k, v := range want {
+		if snap[k] != v {
+			t.Fatalf("snapshot[%s] = %v, want %v (snapshot %v)", k, snap[k], v, snap)
+		}
+	}
+	q, ok := snap["mm_request_seconds"].(QuantileSummary)
+	if !ok || q.Count != 3 || q.Sum != h.Sum() || q.P50 <= 0 || q.P50 > q.P99 {
+		t.Fatalf("histogram summary = %+v", snap["mm_request_seconds"])
+	}
+	if len(snap) != len(want)+1 {
+		t.Fatalf("snapshot has %d series, want %d: %v", len(snap), len(want)+1, snap)
+	}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "_bucket{") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		key, val := line[:i], line[i+1:]
+		got := snap[key]
+		if base, ok := strings.CutSuffix(key, "_count"); ok && base == "mm_request_seconds" {
+			got = float64(q.Count)
+		} else if base, ok := strings.CutSuffix(key, "_sum"); ok && base == "mm_request_seconds" {
+			got = q.Sum
+		}
+		if f, ok := got.(float64); ok {
+			got = formatFloat(f)
+		}
+		if got != val {
+			t.Errorf("exposition %q = %s, snapshot has %v", key, val, got)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func (r *Registry) GaugeWith(name, help string, labelNames, labelValues []string
 
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time — the bridge for components that already keep their own counters
-// (job stats, cache stats, store stats) without double accounting.
+// (job counters, cache stats, store stats) without double accounting.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.GaugeFuncWith(name, help, nil, nil, fn)
 }
@@ -242,33 +242,6 @@ func (r *Registry) HistogramWith(name, help string, bounds []float64, labelNames
 		c.hist = NewHistogram(bounds)
 	}
 	return c.hist
-}
-
-// Histograms returns the name → histogram map of every registered
-// histogram series (labeled series keyed as name{a,b}), for JSON quantile
-// summaries.
-func (r *Registry) Histograms() map[string]*Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]*Histogram)
-	for _, name := range r.names {
-		f := r.families[name]
-		if f.kind != kindHistogram {
-			continue
-		}
-		for _, key := range f.order {
-			c := f.children[key]
-			if c.hist == nil {
-				continue
-			}
-			k := name
-			if len(c.labels) > 0 {
-				k = name + "{" + strings.Join(c.labels, ",") + "}"
-			}
-			out[k] = c.hist
-		}
-	}
-	return out
 }
 
 // sortedNames returns family names in lexical order for stable exposition.

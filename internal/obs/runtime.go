@@ -6,24 +6,6 @@ import (
 	"time"
 )
 
-// RuntimeStats is a point-in-time snapshot of process health for the JSON
-// metrics endpoint: scheduler load, heap footprint, GC behavior, and build
-// identity — the numbers an operator checks before blaming the workload.
-type RuntimeStats struct {
-	Goroutines     int     `json:"goroutines"`
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64  `json:"heap_sys_bytes"`
-	HeapObjects    uint64  `json:"heap_objects"`
-	NumGC          uint32  `json:"gc_runs"`
-	GCPauseTotalMS float64 `json:"gc_pause_total_ms"`
-	GCCPUFraction  float64 `json:"gc_cpu_fraction"`
-	NumCPU         int     `json:"num_cpu"`
-	GoVersion      string  `json:"go_version"`
-	Module         string  `json:"module,omitempty"`
-	VCSRevision    string  `json:"vcs_revision,omitempty"`
-	UptimeS        float64 `json:"uptime_s"`
-}
-
 // buildinfo is read once: module identity cannot change at runtime.
 var buildModule, buildRevision = readBuildInfo()
 
@@ -39,27 +21,6 @@ func readBuildInfo() (module, revision string) {
 		}
 	}
 	return module, revision
-}
-
-// ReadRuntime snapshots the process runtime relative to the given start
-// time.
-func ReadRuntime(started time.Time) RuntimeStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return RuntimeStats{
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		HeapSysBytes:   ms.HeapSys,
-		HeapObjects:    ms.HeapObjects,
-		NumGC:          ms.NumGC,
-		GCPauseTotalMS: float64(ms.PauseTotalNs) / 1e6,
-		GCCPUFraction:  ms.GCCPUFraction,
-		NumCPU:         runtime.NumCPU(),
-		GoVersion:      runtime.Version(),
-		Module:         buildModule,
-		VCSRevision:    buildRevision,
-		UptimeS:        time.Since(started).Seconds(),
-	}
 }
 
 // RegisterRuntimeMetrics exposes the process runtime to Prometheus scrapes:

@@ -3,7 +3,6 @@ package resilience
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -64,19 +63,11 @@ type Decision struct {
 	RetryAfter time.Duration
 }
 
-// AdmissionStats is a counters snapshot for metrics exposition.
-type AdmissionStats struct {
-	Admitted     int64 `json:"admitted"`
-	RejectedRate int64 `json:"rejected_rate"`
-	RejectedConc int64 `json:"rejected_concurrency"`
-	Shed         int64 `json:"shed"`
-	InFlight     int   `json:"in_flight"`
-}
-
 // Admission is a per-tenant token-bucket + concurrency-cap admission
 // controller with obs-signal-driven load shedding. Tenants are keyed by
 // an opaque string (the service uses the X-Tenant header, "" for
-// anonymous). Safe for concurrent use.
+// anonymous). It keeps only the state its decisions need; callers count
+// outcomes from the Decisions they receive. Safe for concurrent use.
 type Admission struct {
 	cfg    AdmissionConfig
 	loadFn func() Load
@@ -85,57 +76,15 @@ type Admission struct {
 	hint func() time.Duration
 	now  func() time.Time
 
-	mu      sync.Mutex
-	tenants map[string]*tenantState
-	stats   AdmissionStats
-	// rej accumulates per-tenant rejection counters. tenantState is evicted
-	// when a tenant goes idle, so rejection history lives in its own map,
-	// bounded at maxRejTenants (extras collapse into the overflow key) —
-	// an unauthenticated flood of distinct X-Tenant values cannot grow it.
-	rej map[string]*TenantRejections
+	mu       sync.Mutex
+	tenants  map[string]*tenantState
+	inFlight int // slots held across all tenants
 }
 
 type tenantState struct {
 	tokens   float64
 	refilled time.Time
 	inFlight int
-}
-
-// TenantRejections is one tenant's cumulative rejection counters, for the
-// admission sections of /metrics and /v1/metrics.
-type TenantRejections struct {
-	Tenant       string `json:"tenant"`
-	RejectedRate int64  `json:"rejected_rate"`        // 429: token bucket
-	RejectedConc int64  `json:"rejected_concurrency"` // 429: concurrency cap
-	Shed         int64  `json:"shed"`                 // 503: load shedding
-}
-
-// maxRejTenants bounds the per-tenant rejection map; the 65th and later
-// distinct tenants share the RejOverflowTenant bucket.
-const maxRejTenants = 64
-
-// RejOverflowTenant is the shared bucket key once maxRejTenants distinct
-// tenants have rejection history.
-const RejOverflowTenant = "_overflow"
-
-// rejFor returns (creating if needed) tenant's rejection counters; must be
-// called with a.mu held.
-func (a *Admission) rejForLocked(tenant string) *TenantRejections {
-	if a.rej == nil {
-		a.rej = make(map[string]*TenantRejections)
-	}
-	r, ok := a.rej[tenant]
-	if !ok {
-		if len(a.rej) >= maxRejTenants {
-			tenant = RejOverflowTenant
-			if r, ok = a.rej[tenant]; ok {
-				return r
-			}
-		}
-		r = &TenantRejections{Tenant: tenant}
-		a.rej[tenant] = r
-	}
-	return r
 }
 
 // NewAdmission builds a controller. loadFn supplies live overload signals
@@ -199,13 +148,9 @@ func (a *Admission) Admit(tenant string) Decision {
 	}
 
 	if reason, shed := a.shedLocked(ts, load); shed {
-		a.stats.Shed++
-		a.rejForLocked(tenant).Shed++
 		return Decision{Code: 503, Reason: reason, RetryAfter: retryHint}
 	}
 	if a.cfg.MaxConcurrent > 0 && ts.inFlight >= a.cfg.MaxConcurrent {
-		a.stats.RejectedConc++
-		a.rejForLocked(tenant).RejectedConc++
 		return Decision{
 			Code:       429,
 			Reason:     fmt.Sprintf("tenant concurrency cap (%d in flight)", ts.inFlight),
@@ -219,16 +164,13 @@ func (a *Admission) Admit(tenant string) Decision {
 			ts.refilled = now
 		}
 		if ts.tokens < 1 {
-			a.stats.RejectedRate++
-			a.rejForLocked(tenant).RejectedRate++
 			wait := time.Duration((1 - ts.tokens) / a.cfg.Rate * float64(time.Second))
 			return Decision{Code: 429, Reason: "tenant rate quota exhausted", RetryAfter: clampRetry(wait)}
 		}
 		ts.tokens--
 	}
 	ts.inFlight++
-	a.stats.Admitted++
-	a.stats.InFlight++
+	a.inFlight++
 	return Decision{OK: true}
 }
 
@@ -307,7 +249,7 @@ func (a *Admission) Release(tenant string) {
 		return
 	}
 	ts.inFlight--
-	a.stats.InFlight--
+	a.inFlight--
 	// Idle tenants at full tokens carry no state worth keeping; dropping
 	// them bounds the map at the set of active tenants.
 	if ts.inFlight == 0 && (a.cfg.Rate <= 0 || ts.tokens >= a.cfg.Burst) {
@@ -325,34 +267,9 @@ func (a *Admission) InFlight(tenant string) int {
 	return 0
 }
 
-// Stats snapshots the counters.
-func (a *Admission) Stats() AdmissionStats {
+// TotalInFlight returns the slots held across all tenants.
+func (a *Admission) TotalInFlight() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stats
-}
-
-// RejectionsByTenant snapshots the per-tenant rejection counters, sorted
-// by tenant for stable JSON output.
-func (a *Admission) RejectionsByTenant() []TenantRejections {
-	a.mu.Lock()
-	out := make([]TenantRejections, 0, len(a.rej))
-	for _, r := range a.rej {
-		out = append(out, *r)
-	}
-	a.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
-// RejectionsFor snapshots one tenant's rejection counters (zero value if
-// the tenant has none) — the read side of lazily registered per-tenant
-// metric callbacks.
-func (a *Admission) RejectionsFor(tenant string) TenantRejections {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if r, ok := a.rej[tenant]; ok {
-		return *r
-	}
-	return TenantRejections{Tenant: tenant}
+	return a.inFlight
 }

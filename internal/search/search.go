@@ -96,36 +96,29 @@ type Result struct {
 	Elapsed    time.Duration
 }
 
-// BestAt returns the best-so-far EDP after the first n evaluations (or the
-// final best if n exceeds the trajectory), used to compare methods at a
-// fixed iteration count.
-func (r *Result) BestAt(n int) float64 {
-	best := math.Inf(1)
+// BestAt returns the best-so-far EDP after the first n evaluations, used
+// to compare methods at a fixed iteration count. ok is false when the run
+// had recorded no sample by then: a checkpoint before the first sample has
+// no value, and callers must not substitute the run's final best for it.
+func (r *Result) BestAt(n int) (best float64, ok bool) {
 	for _, s := range r.Trajectory {
 		if s.Eval > n {
 			break
 		}
-		best = s.BestEDP
+		best, ok = s.BestEDP, true
 	}
-	if math.IsInf(best, 1) {
-		return r.BestEDP
-	}
-	return best
+	return best, ok
 }
 
-// BestAtTime returns the best-so-far EDP at the given elapsed time.
-func (r *Result) BestAtTime(d time.Duration) float64 {
-	best := math.Inf(1)
+// BestAtTime is BestAt at an elapsed time instead of an evaluation count.
+func (r *Result) BestAtTime(d time.Duration) (best float64, ok bool) {
 	for _, s := range r.Trajectory {
 		if s.Elapsed > d {
 			break
 		}
-		best = s.BestEDP
+		best, ok = s.BestEDP, true
 	}
-	if math.IsInf(best, 1) {
-		return r.BestEDP
-	}
-	return best
+	return best, ok
 }
 
 // Context carries everything a searcher needs for one problem: the map

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -141,20 +142,20 @@ func TestResultBestAt(t *testing.T) {
 			{Eval: 3, Elapsed: 3 * time.Millisecond, BestEDP: 2},
 		},
 	}
-	if r.BestAt(2) != 5 {
-		t.Fatalf("BestAt(2) = %v", r.BestAt(2))
-	}
-	if r.BestAt(100) != 2 {
-		t.Fatalf("BestAt(100) = %v", r.BestAt(100))
-	}
-	if r.BestAt(0) != 2 {
-		t.Fatal("BestAt before any sample should fall back to final")
-	}
-	if r.BestAtTime(2*time.Millisecond) != 5 {
-		t.Fatalf("BestAtTime = %v", r.BestAtTime(2*time.Millisecond))
-	}
-	if r.BestAtTime(time.Hour) != 2 {
-		t.Fatal("BestAtTime beyond end should be final")
+	at := func(v float64, ok bool) string { return fmt.Sprint(v, ok) }
+	for _, c := range []struct{ got, want string }{
+		{at(r.BestAt(2)), "5 true"},
+		{at(r.BestAt(100)), "2 true"},
+		// Before the first sample there is no value: the final best must
+		// not be back-filled into early checkpoints.
+		{at(r.BestAt(0)), "0 false"},
+		{at(r.BestAtTime(2 * time.Millisecond)), "5 true"},
+		{at(r.BestAtTime(time.Hour)), "2 true"},
+		{at(r.BestAtTime(time.Microsecond)), "0 false"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %s, want %s", c.got, c.want)
+		}
 	}
 }
 

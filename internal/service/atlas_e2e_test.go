@@ -60,12 +60,8 @@ func TestAtlasExactHitServing(t *testing.T) {
 	if cold.Result.Source != "" {
 		t.Fatalf("cold result source %q, want empty", cold.Result.Source)
 	}
-	st, ok := jobs.AtlasStats()
-	if !ok {
-		t.Fatal("atlas stats unavailable despite EnableAtlas")
-	}
-	if st.Writebacks != 1 || st.Entries != 1 {
-		t.Fatalf("after cold run: %+v", st)
+	if wb, n := jobs.count.atlasWritebacks.Value(), a.Stats().Entries; wb != 1 || n != 1 {
+		t.Fatalf("after cold run: %d write-backs, %d entries", wb, n)
 	}
 
 	// The identical request is served without entering the queue: the job
@@ -93,13 +89,12 @@ func TestAtlasExactHitServing(t *testing.T) {
 	if again, err := jobs.Wait(context.Background(), hit.ID); err != nil || again.Status != JobDone {
 		t.Fatalf("waiting on an atlas-served job: %+v err=%v", again, err)
 	}
-	st, _ = jobs.AtlasStats()
-	if st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1: %+v", st.Hits, st)
+	if hits := jobs.count.atlasHits.Value(); hits != 1 {
+		t.Fatalf("hits = %d, want 1", hits)
 	}
 	// Serving a hit must not have written anything new.
-	if st.Writebacks != 1 || a.Stats().Entries != 1 {
-		t.Fatalf("hit mutated the atlas: %+v", st)
+	if wb, n := jobs.count.atlasWritebacks.Value(), a.Stats().Entries; wb != 1 || n != 1 {
+		t.Fatalf("hit mutated the atlas: %d write-backs, %d entries", wb, n)
 	}
 
 	// A different seed is the same search identity — still a hit.
@@ -113,16 +108,15 @@ func TestAtlasExactHitServing(t *testing.T) {
 // for an unseen shape in a solved family is seeded from the closest
 // entry's re-projected mapping and reports source "atlas-neighbor".
 func TestAtlasNeighborWarmStart(t *testing.T) {
-	jobs, _ := atlasManager(t, false, "conv1d.surrogate")
+	jobs, a := atlasManager(t, false, "conv1d.surrogate")
 
 	req := validRequest()
 	req.Searcher = "mm"
 	req.Model = "conv1d.surrogate"
 	req.Evals = 200
 	cold := runToDone(t, jobs, req)
-	st, _ := jobs.AtlasStats()
-	if st.Cold != 1 || st.Neighbors != 0 {
-		t.Fatalf("first run should be cold: %+v", st)
+	if cold, nb := jobs.count.atlasCold.Value(), jobs.count.atlasNeighbors.Value(); cold != 1 || nb != 0 {
+		t.Fatalf("first run should be cold: cold=%d neighbors=%d", cold, nb)
 	}
 	if cold.Result.Source != "" {
 		t.Fatalf("cold source %q", cold.Result.Source)
@@ -134,13 +128,12 @@ func TestAtlasNeighborWarmStart(t *testing.T) {
 	if done.Result.Source != "atlas-neighbor" {
 		t.Fatalf("warm-started result source %q, want \"atlas-neighbor\"", done.Result.Source)
 	}
-	st, _ = jobs.AtlasStats()
-	if st.Neighbors != 1 {
-		t.Fatalf("neighbors = %d: %+v", st.Neighbors, st)
+	if nb := jobs.count.atlasNeighbors.Value(); nb != 1 {
+		t.Fatalf("neighbors = %d, want 1", nb)
 	}
 	// Both solved shapes are now stored.
-	if st.Entries != 2 || st.Writebacks != 2 {
-		t.Fatalf("after warm run: %+v", st)
+	if wb, n := jobs.count.atlasWritebacks.Value(), a.Stats().Entries; wb != 2 || n != 2 {
+		t.Fatalf("after warm run: %d write-backs, %d entries", wb, n)
 	}
 
 	// Black-box searchers never warm-start: the seed would not change their
@@ -151,8 +144,8 @@ func TestAtlasNeighborWarmStart(t *testing.T) {
 	if done := runToDone(t, jobs, ga); done.Result.Source != "" {
 		t.Fatalf("ga result source %q, want empty", done.Result.Source)
 	}
-	if st, _ := jobs.AtlasStats(); st.Cold != 2 {
-		t.Fatalf("cold = %d, want 2: %+v", st.Cold, st)
+	if cold := jobs.count.atlasCold.Value(); cold != 2 {
+		t.Fatalf("cold = %d, want 2", cold)
 	}
 }
 
@@ -195,12 +188,8 @@ func TestAtlasReadonlyServesButNeverWrites(t *testing.T) {
 	req.Searcher = "ga"
 	req.Evals = 200
 	runToDone(t, jobs, req)
-	st, _ := jobs.AtlasStats()
-	if !st.ReadOnly {
-		t.Fatal("stats do not report read-only")
-	}
-	if st.Writebacks != 0 || a.Stats().Entries != 0 {
-		t.Fatalf("read-only atlas was written: %+v", st)
+	if wb, n := jobs.count.atlasWritebacks.Value(), a.Stats().Entries; wb != 0 || n != 0 {
+		t.Fatalf("read-only atlas was written: %d write-backs, %d entries", wb, n)
 	}
 }
 

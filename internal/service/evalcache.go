@@ -96,16 +96,16 @@ func (c *EvalCache) Put(key string, cost costmodel.Cost) {
 	}
 }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness, surfaced
-// by GET /v1/metrics.
+// CacheStats is a point-in-time snapshot of cache effectiveness, read by
+// the eval_cache_* series.
 type CacheStats struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Entries  int    `json:"entries"`
-	Capacity int    `json:"capacity"`
+	Hits     uint64
+	Misses   uint64
+	Entries  int
+	Capacity int
 	// Utilization is Entries/Capacity in [0,1]: how full the bounded LRU
 	// is, the signal for retuning serve -evalcache-cap.
-	Utilization float64 `json:"utilization"`
+	Utilization float64
 }
 
 // Stats snapshots the hit/miss counters and occupancy.

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mindmappings/internal/arch"
@@ -252,23 +251,16 @@ type JobManager struct {
 	workers   int
 	retention int // max terminal jobs kept for GET /v1/jobs before eviction
 
-	// lifecycle counters, guarded by mu
-	submitted uint64
-	completed uint64
-	failed    uint64
-	cancelled uint64
-	degraded  uint64
-	recovered uint64
+	// count holds every service fact the manager counts, each exactly once;
+	// /metrics, /v1/metrics and the SLIs all read these atomics.
+	count jobCounters
 
 	// resilience wiring: per-tenant admission control (EnableAdmission),
 	// the crash-safe job journal (EnableJournal), deterministic fault
 	// injection on the eval path (SetFaults), and the anytime-deadline
-	// ceiling (SetMaxJobTime). journalErrs counts journal writes that
-	// failed even after bounded retry — the job keeps running; only its
-	// crash-recovery point goes stale.
+	// ceiling (SetMaxJobTime).
 	admission       *resilience.Admission
 	journal         *resilience.Journal
-	journalErrs     uint64
 	faults          *resilience.Faults
 	maxJobTime      time.Duration
 	checkpointEvery int
@@ -283,12 +275,6 @@ type JobManager struct {
 	// leaf mutex, safe to call under mu.
 	flightRec *obs.FlightRecorder
 
-	// SLO counterparts of the mu-guarded lifecycle counters: SLI callbacks
-	// run under the tracker's own mutex and at metric-exposition time, so
-	// they must never take jm.mu — they read these instead.
-	sloDone   atomic.Uint64 // jobs finished JobDone (degraded included)
-	sloFailed atomic.Uint64 // jobs finished JobFailed
-
 	// Per-tenant instrument sets, lazily registered on first sight of a
 	// tenant. Guarded by tenantMu, a leaf below nothing: tenantFor must
 	// never run under jm.mu (registration takes the registry lock, and
@@ -299,17 +285,13 @@ type JobManager struct {
 	// Atlas wiring (EnableAtlas): exact-key hits are served from the
 	// store without running a search job, mm misses warm-start from the
 	// nearest solved neighbor, and completed jobs write back unless
-	// atlasRO. Counters guarded by mu.
-	atlasStore      *atlas.Atlas
-	atlasRO         bool
-	atlasSource     string
-	atlasHits       uint64
-	atlasNeighbors  uint64
-	atlasCold       uint64
-	atlasWritebacks uint64
+	// atlasRO. Guarded by mu.
+	atlasStore  *atlas.Atlas
+	atlasRO     bool
+	atlasSource string
 
 	// counters holds one shared paid-eval counter per cost-model backend
-	// (costmodel.WithCounter accounting, surfaced by GET /v1/metrics).
+	// (costmodel.WithCounter accounting, exposed as costmodel_evals_total).
 	// Guarded by countersMu, not mu: jobs read them on the hot path.
 	countersMu sync.Mutex
 	counters   map[string]*costmodel.Counter
@@ -336,6 +318,23 @@ type JobManager struct {
 type inferBatcherEntry struct {
 	sur *surrogate.Surrogate
 	b   *infer.Batcher
+}
+
+// jobCounters are the manager's lock-free service counters. SLI callbacks
+// run under the SLO tracker's mutex and at exposition time, where taking
+// jm.mu would invert the registry → jm lock order, so every count is an
+// atomic readable from anywhere.
+type jobCounters struct {
+	// Search-job lifecycle. done includes degraded completions and atlas
+	// hits; journalErrors counts journal writes that failed even after
+	// bounded retry (the job keeps running; only its crash-recovery point
+	// goes stale).
+	submitted, done, failed, cancelled, degraded, recovered, journalErrors obs.Counter
+	// Atlas traffic: exact hits answered at submit, mm jobs warm-started
+	// from a neighbor, jobs run with no assist, and solutions written back.
+	atlasHits, atlasNeighbors, atlasCold, atlasWritebacks obs.Counter
+	// Admission decisions: admitted, rejected by quota (429), shed (503).
+	admitted, rejected, shed obs.Counter
 }
 
 // jobInstruments bundles the manager's obs metrics.
@@ -372,79 +371,56 @@ func (jm *JobManager) Instrument(reg *obs.Registry) {
 			"Time from job start to its first progress sample (time-to-first-eval).",
 			nil),
 	}
-	reg.CounterFunc("search_jobs_submitted_total",
-		"Search jobs accepted by POST /v1/search.",
-		func() float64 { return float64(jm.Stats().Submitted) })
-	reg.CounterFunc("search_jobs_done_total",
-		"Search jobs finished successfully.",
-		func() float64 { return float64(jm.Stats().Done) })
-	reg.CounterFunc("search_jobs_failed_total",
-		"Search jobs that ended in an error.",
-		func() float64 { return float64(jm.Stats().Failed) })
-	reg.CounterFunc("search_jobs_cancelled_total",
-		"Search jobs cancelled by clients or shutdown.",
-		func() float64 { return float64(jm.Stats().Cancelled) })
+	c := &jm.count
+	for _, ctr := range []struct {
+		name, help string
+		c          *obs.Counter
+	}{
+		{"search_jobs_submitted_total", "Search jobs accepted by POST /v1/search.", &c.submitted},
+		{"search_jobs_done_total", "Search jobs finished successfully.", &c.done},
+		{"search_jobs_failed_total", "Search jobs that ended in an error.", &c.failed},
+		{"search_jobs_cancelled_total", "Search jobs cancelled by clients or shutdown.", &c.cancelled},
+		{"search_jobs_degraded_total", "Search jobs completed degraded at their anytime deadline.", &c.degraded},
+		{"search_jobs_recovered_total", "Search jobs recovered from the journal at startup.", &c.recovered},
+		{"search_job_journal_errors_total", "Journal writes that failed even after bounded retry.", &c.journalErrors},
+		{"admission_admitted_total", "Requests admitted by the per-tenant admission controller.", &c.admitted},
+		{"admission_rejected_total", "Requests rejected by per-tenant quotas (rate or concurrency).", &c.rejected},
+		{"admission_shed_total", "Requests shed under overload (queue wait, queue depth, or heap).", &c.shed},
+		{"atlas_hits_total", "Search requests answered from the atlas without running a search job.", &c.atlasHits},
+		{"atlas_neighbor_total", "Search jobs warm-started from a nearest-neighbor atlas mapping.", &c.atlasNeighbors},
+		{"atlas_cold_total", "Search jobs run with no atlas assist (no exact hit, no neighbor).", &c.atlasCold},
+		{"atlas_writebacks_total", "Completed search jobs whose solutions were published into the atlas.", &c.atlasWritebacks},
+	} {
+		reg.CounterFunc(ctr.name, ctr.help, func() float64 { return float64(ctr.c.Value()) })
+	}
 	reg.GaugeFunc("search_jobs_queued",
 		"Search jobs waiting for a worker.",
-		func() float64 { return float64(jm.Stats().Queued) })
+		func() float64 { q, _ := jm.queueDepth(); return float64(q) })
 	reg.GaugeFunc("search_jobs_running",
 		"Search jobs currently executing.",
-		func() float64 { return float64(jm.Stats().Running) })
+		func() float64 { _, r := jm.queueDepth(); return float64(r) })
 	reg.GaugeFunc("search_job_workers",
 		"Size of the search worker pool.",
 		func() float64 { return float64(jm.Workers()) })
-	reg.CounterFunc("search_jobs_degraded_total",
-		"Search jobs completed degraded at their anytime deadline.",
-		func() float64 { return float64(jm.Stats().Degraded) })
-	reg.CounterFunc("search_jobs_recovered_total",
-		"Search jobs recovered from the journal at startup.",
-		func() float64 { return float64(jm.Stats().Recovered) })
-	reg.CounterFunc("search_job_journal_errors_total",
-		"Journal writes that failed even after bounded retry.",
-		func() float64 { return float64(jm.Stats().JournalErrors) })
-	// Admission series read through the getter so they work whenever
-	// EnableAdmission is called, before or after Instrument; they report 0
-	// while no controller is installed.
-	admStats := func() resilience.AdmissionStats {
-		if a := jm.admissionCtrl(); a != nil {
-			return a.Stats()
-		}
-		return resilience.AdmissionStats{}
-	}
-	reg.CounterFunc("admission_admitted_total",
-		"Requests admitted by the per-tenant admission controller.",
-		func() float64 { return float64(admStats().Admitted) })
-	reg.CounterFunc("admission_rejected_total",
-		"Requests rejected by per-tenant quotas (rate or concurrency).",
-		func() float64 { s := admStats(); return float64(s.RejectedRate + s.RejectedConc) })
-	reg.CounterFunc("admission_shed_total",
-		"Requests shed under overload (queue wait, queue depth, or heap).",
-		func() float64 { return float64(admStats().Shed) })
+	// The admission and atlas gauges read through their getters, so they
+	// work whichever of Instrument/EnableAdmission/EnableAtlas ran first
+	// and report 0 while nothing is attached.
 	reg.GaugeFunc("admission_in_flight",
 		"Admission-controller concurrency slots currently held.",
-		func() float64 { return float64(admStats().InFlight) })
-	// Atlas series follow the same read-through-getter pattern: they work
-	// whenever EnableAtlas is called and report 0 while no atlas is
-	// attached.
-	atlasStats := func() AtlasServiceStats {
-		st, _ := jm.AtlasStats()
-		return st
-	}
-	reg.CounterFunc("atlas_hits_total",
-		"Search requests answered from the atlas without running a search job.",
-		func() float64 { return float64(atlasStats().Hits) })
-	reg.CounterFunc("atlas_neighbor_total",
-		"Search jobs warm-started from a nearest-neighbor atlas mapping.",
-		func() float64 { return float64(atlasStats().Neighbors) })
-	reg.CounterFunc("atlas_cold_total",
-		"Search jobs run with no atlas assist (no exact hit, no neighbor).",
-		func() float64 { return float64(atlasStats().Cold) })
-	reg.CounterFunc("atlas_writebacks_total",
-		"Completed search jobs whose solutions were published into the atlas.",
-		func() float64 { return float64(atlasStats().Writebacks) })
+		func() float64 {
+			if a := jm.admissionCtrl(); a != nil {
+				return float64(a.TotalInFlight())
+			}
+			return 0
+		})
 	reg.GaugeFunc("atlas_entries",
 		"Committed mapping entries in the attached atlas.",
-		func() float64 { return float64(atlasStats().Entries) })
+		func() float64 {
+			if at := jm.atlasRef(); at != nil {
+				return float64(at.Stats().Entries)
+			}
+			return 0
+		})
 	jm.mu.Lock()
 	jm.instr = in
 	jm.mu.Unlock()
@@ -535,43 +511,6 @@ func (jm *JobManager) atlasRef() *atlas.Atlas {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
 	return jm.atlasStore
-}
-
-// AtlasServiceStats reports atlas serving effectiveness for /v1/metrics:
-// store occupancy plus how traffic split across the three read outcomes
-// (exact hit, neighbor warm start, cold) and how many solutions flowed
-// back in.
-type AtlasServiceStats struct {
-	ReadOnly   bool   `json:"readonly,omitempty"`
-	Entries    int    `json:"entries"`
-	Keys       int    `json:"keys"`
-	Families   int    `json:"families"`
-	Corrupt    int    `json:"corrupt,omitempty"`
-	Hits       uint64 `json:"hits"`
-	Neighbors  uint64 `json:"neighbors"`
-	Cold       uint64 `json:"cold"`
-	Writebacks uint64 `json:"writebacks"`
-}
-
-// AtlasStats snapshots the atlas serving counters; ok is false when no
-// atlas is attached.
-func (jm *JobManager) AtlasStats() (AtlasServiceStats, bool) {
-	jm.mu.Lock()
-	at := jm.atlasStore
-	st := AtlasServiceStats{
-		ReadOnly:   jm.atlasRO,
-		Hits:       jm.atlasHits,
-		Neighbors:  jm.atlasNeighbors,
-		Cold:       jm.atlasCold,
-		Writebacks: jm.atlasWritebacks,
-	}
-	jm.mu.Unlock()
-	if at == nil {
-		return AtlasServiceStats{}, false
-	}
-	as := at.Stats()
-	st.Entries, st.Keys, st.Families, st.Corrupt = as.Entries, as.Keys, as.Families, as.Corrupt
-	return st, true
 }
 
 // atlasIdentity is a request's fully resolved atlas coordinates: the
@@ -712,8 +651,8 @@ func (jm *JobManager) admissionCtrl() *resilience.Admission {
 
 // Load snapshots the overload signals admission decisions shed on.
 func (jm *JobManager) Load() resilience.Load {
-	st := jm.Stats()
-	l := resilience.Load{QueueDepth: st.Queued, QueueCap: jm.QueueCap(), Health: 1}
+	queued, _ := jm.queueDepth()
+	l := resilience.Load{QueueDepth: queued, QueueCap: jm.QueueCap(), Health: 1}
 	if in := jm.instruments(); in != nil {
 		if q := in.queueWait.Quantile(0.95); q > 0 && !math.IsNaN(q) {
 			l.QueueWaitP95 = time.Duration(q * float64(time.Second))
@@ -767,8 +706,8 @@ func (jm *JobManager) flight() *obs.FlightRecorder {
 // load-shed rejections, so clients back off proportionally to the actual
 // backlog instead of a constant.
 func (jm *JobManager) RetryAfterHint() time.Duration {
-	st := jm.Stats()
-	inFlight := st.Queued + st.Running
+	queued, running := jm.queueDepth()
+	inFlight := queued + running
 	if inFlight == 0 {
 		return time.Second
 	}
@@ -846,9 +785,7 @@ func (jm *JobManager) journalPut(id string, status JobStatus, tenant string, req
 	}
 	rec := journalRecord{ID: id, Tenant: tenant, Status: status, Request: req, Created: created, Checkpoint: ck}
 	if err := j.Put(id, rec); err != nil {
-		jm.mu.Lock()
-		jm.journalErrs++
-		jm.mu.Unlock()
+		jm.count.journalErrors.Inc()
 		jm.flight().Record(obs.SevError, "journal.error", err.Error(),
 			map[string]string{"id": id, "op": "put"})
 	}
@@ -905,8 +842,8 @@ func (jm *JobManager) EnableJournal(j *resilience.Journal) (int, error) {
 			continue
 		}
 		jm.enqueueLocked(job)
-		jm.submitted++
-		jm.recovered++
+		jm.count.submitted.Inc()
+		jm.count.recovered.Inc()
 		jm.mu.Unlock()
 		recovered++
 	}
@@ -949,7 +886,7 @@ func (jm *JobManager) Resume(id string) (Job, error) {
 	job.resume = job.checkpoint
 	jm.pending = append(jm.pending, job)
 	jm.cond.Signal()
-	jm.submitted++
+	jm.count.submitted.Inc()
 	snap := copyJob(job)
 	ck := job.checkpoint
 	jm.mu.Unlock()
@@ -1229,14 +1166,19 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 	if adm != nil {
 		d := adm.Admit(tenant)
 		if !d.OK {
-			kind, sev := "admission.reject", obs.SevWarn
+			kind := "admission.reject"
 			if d.Code == 503 {
 				kind = "admission.shed"
+				jm.count.shed.Inc()
+			} else {
+				jm.count.rejected.Inc()
 			}
-			jm.flight().Record(sev, kind, d.Reason,
+			ti.rejected(d.Code)
+			jm.flight().Record(obs.SevWarn, kind, d.Reason,
 				map[string]string{"tenant": tenantLabel(tenant), "code": fmt.Sprint(d.Code)})
 			return Job{}, &AdmissionError{Decision: d}
 		}
+		jm.count.admitted.Inc()
 		admitted = true
 	}
 	jctx, cancel := context.WithCancel(jm.baseCtx)
@@ -1281,7 +1223,7 @@ func (jm *JobManager) SubmitAs(tenant string, req SearchRequest) (Job, error) {
 		return Job{}, ErrQueueFull
 	}
 	jm.enqueueLocked(job)
-	jm.submitted++
+	jm.count.submitted.Inc()
 	snap := copyJob(job)
 	jm.mu.Unlock()
 	ti.accepted()
@@ -1413,10 +1355,9 @@ func (jm *JobManager) tryAtlasServe(at *atlas.Atlas, tenant string, ti *tenantIn
 	}
 	jm.jobs[id] = job
 	jm.order = append(jm.order, id)
-	jm.submitted++
-	jm.completed++
-	jm.atlasHits++
-	jm.sloDone.Add(1)
+	jm.count.submitted.Inc()
+	jm.count.done.Inc()
+	jm.count.atlasHits.Inc()
 	jm.evictTerminalLocked()
 	snap := copyJob(job)
 	jm.mu.Unlock()
@@ -1645,7 +1586,7 @@ func (jm *JobManager) runJob(job *Job) {
 	case deadlined:
 		if result != nil {
 			result.Degraded = true
-			jm.degraded++
+			jm.count.degraded.Inc()
 			jm.finishLocked(job, JobDone, result, nil)
 		} else {
 			jm.finishLocked(job, JobFailed, nil,
@@ -1715,9 +1656,7 @@ func (jm *JobManager) atlasWriteback(job *Job, res *search.Result) {
 		Source:    source,
 	}
 	if _, published, err := at.Publish(e, &res.Best); err == nil && published {
-		jm.mu.Lock()
-		jm.atlasWritebacks++
-		jm.mu.Unlock()
+		jm.count.atlasWritebacks.Inc()
 	}
 }
 
@@ -1750,13 +1689,11 @@ func (jm *JobManager) finishLocked(job *Job, status JobStatus, result *JobResult
 	}
 	switch status {
 	case JobDone:
-		jm.completed++
-		jm.sloDone.Add(1)
+		jm.count.done.Inc()
 	case JobFailed:
-		jm.failed++
-		jm.sloFailed.Add(1)
+		jm.count.failed.Inc()
 	case JobCancelled:
-		jm.cancelled++
+		jm.count.cancelled.Inc()
 	}
 	job.tin.finished(job, status, result)
 	// Flight-recorder entry for the terminal transition. Record is a leaf
@@ -1800,7 +1737,7 @@ func (jm *JobManager) finishLocked(job *Job, status JobStatus, result *JobResult
 	// jm.mu keeps finish ordering deterministic for the recovery tests.
 	if jm.journal != nil && !jm.draining {
 		if err := jm.journal.Delete(job.ID); err != nil {
-			jm.journalErrs++
+			jm.count.journalErrors.Inc()
 			jm.flightRec.Record(obs.SevError, "journal.error", err.Error(),
 				map[string]string{"id": job.ID, "op": "delete"})
 		}
@@ -1922,14 +1859,14 @@ func (jm *JobManager) execute(ctx context.Context, job *Job) (*search.Result, *m
 				root.Set("atlas_seed_distance", dist)
 			}
 		}
-		jm.mu.Lock()
 		if seedMapping != nil {
-			jm.atlasNeighbors++
+			jm.count.atlasNeighbors.Inc()
+			jm.mu.Lock()
 			job.atlasSeeded = true
+			jm.mu.Unlock()
 		} else {
-			jm.atlasCold++
+			jm.count.atlasCold.Inc()
 		}
-		jm.mu.Unlock()
 	}
 	model, err := costmodel.New(req.CostModel, a, prob)
 	if err != nil {
@@ -2170,50 +2107,24 @@ func buildResult(res *search.Result, space *mapspace.Space) *JobResult {
 	return out
 }
 
-// JobStats summarizes job lifecycle counts for /v1/metrics. Degraded
-// counts jobs that completed at their anytime deadline with a best-so-far
-// result; Recovered counts jobs re-enqueued from the journal at startup;
-// JournalErrors counts journal writes that failed even after bounded
-// retry.
-type JobStats struct {
-	Submitted     uint64 `json:"submitted"`
-	Queued        int    `json:"queued"`
-	Running       int    `json:"running"`
-	Done          uint64 `json:"done"`
-	Failed        uint64 `json:"failed"`
-	Cancelled     uint64 `json:"cancelled"`
-	Degraded      uint64 `json:"degraded"`
-	Recovered     uint64 `json:"recovered"`
-	JournalErrors uint64 `json:"journal_errors"`
-}
-
-// Stats snapshots lifecycle counters and live queue state.
-func (jm *JobManager) Stats() JobStats {
+// queueDepth counts the jobs waiting for a worker and the jobs running.
+func (jm *JobManager) queueDepth() (queued, running int) {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
-	st := JobStats{
-		Submitted:     jm.submitted,
-		Done:          jm.completed,
-		Failed:        jm.failed,
-		Cancelled:     jm.cancelled,
-		Degraded:      jm.degraded,
-		Recovered:     jm.recovered,
-		JournalErrors: jm.journalErrs,
-	}
 	for _, job := range jm.jobs {
 		switch job.Status {
 		case JobQueued:
-			st.Queued++
+			queued++
 		case JobRunning:
-			st.Running++
+			running++
 		}
 	}
-	return st
+	return queued, running
 }
 
 // counterFor returns the shared paid-eval counter for a cost-model
 // backend, creating it on first use. Jobs selecting the same backend share
-// one counter, so /v1/metrics reports aggregate evals per backend.
+// one counter, so costmodel_evals_total reports aggregate evals per backend.
 func (jm *JobManager) counterFor(backend string) *costmodel.Counter {
 	in := jm.instruments()
 	jm.countersMu.Lock()
@@ -2253,19 +2164,6 @@ func (jm *JobManager) evalHistFor(backend string) *obs.Histogram {
 		jm.evalHists[backend] = h
 	}
 	return h
-}
-
-// EvalCounts snapshots the paid reference-cost-model evaluations performed
-// per backend across all jobs (cache hits are not charged). Backends that
-// have not served a job yet are absent.
-func (jm *JobManager) EvalCounts() map[string]int64 {
-	jm.countersMu.Lock()
-	defer jm.countersMu.Unlock()
-	out := make(map[string]int64, len(jm.counters))
-	for name, ctr := range jm.counters {
-		out[name] = ctr.Count()
-	}
-	return out
 }
 
 // Workers returns the worker-pool size.

@@ -288,15 +288,15 @@ func (r *ModelRegistry) List() ([]ModelInfo, error) {
 	return out, nil
 }
 
-// RegistryStats is a point-in-time registry snapshot for /v1/metrics.
+// RegistryStats is a point-in-time registry snapshot (model_registry_* series).
 type RegistryStats struct {
-	Loaded   int    `json:"loaded"`
-	Capacity int    `json:"capacity"`
-	Loads    uint64 `json:"disk_loads"`
-	Evicted  uint64 `json:"evicted"`
+	Loaded   int
+	Capacity int
+	Loads    uint64
+	Evicted  uint64
 	// Reloaded counts raw files detected as republished (changed mtime or
 	// size) and dropped for a fresh load.
-	Reloaded uint64 `json:"reloaded"`
+	Reloaded uint64
 }
 
 // Stats snapshots load/eviction counters.

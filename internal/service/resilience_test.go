@@ -151,8 +151,8 @@ func TestKillAndRecoverResumesBitCompatible(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("recovered %d jobs, want 1", n)
 	}
-	if jm2.Stats().Recovered != 1 {
-		t.Fatalf("recovered counter %d, want 1", jm2.Stats().Recovered)
+	if n := jm2.count.recovered.Value(); n != 1 {
+		t.Fatalf("recovered counter %d, want 1", n)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -209,8 +209,8 @@ func TestDeadlineReturnsDegradedValidResult(t *testing.T) {
 		t.Fatalf("degraded result is not a valid mapping: %+v", done.Result)
 	}
 	m := getMetrics(t, ts)
-	if m.Jobs.Degraded != 1 {
-		t.Fatalf("degraded counter %d, want 1", m.Jobs.Degraded)
+	if d := metric(t, m, "search_jobs_degraded_total"); d != 1 {
+		t.Fatalf("degraded counter %v, want 1", d)
 	}
 }
 
@@ -329,8 +329,8 @@ func TestQuotaAccountingUnderConcurrentSubmitCancel(t *testing.T) {
 	if got := adm.InFlight("acme"); got != 0 {
 		t.Fatalf("leaked %d quota slots after all jobs finished", got)
 	}
-	if st := adm.Stats(); st.InFlight != 0 {
-		t.Fatalf("controller reports %d slots in flight, want 0", st.InFlight)
+	if n := adm.TotalInFlight(); n != 0 {
+		t.Fatalf("controller reports %d slots in flight, want 0", n)
 	}
 }
 
@@ -445,7 +445,7 @@ func TestAdmissionQuotaOverHTTP(t *testing.T) {
 	jm.Cancel(b.ID)
 	jm.Cancel(c.ID)
 	m := getMetrics(t, ts)
-	if m.Admission == nil || m.Admission.RejectedConc == 0 {
-		t.Fatalf("admission stats missing from /v1/metrics: %+v", m.Admission)
+	if metric(t, m, "admission_rejected_total") != 1 || metric(t, m, `tenant_rejected_total{tenant="acme",code="429"}`) != 1 {
+		t.Fatalf("/v1/metrics does not count acme's one 429: %v", m)
 	}
 }

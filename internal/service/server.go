@@ -13,7 +13,6 @@ import (
 	"mindmappings/internal/modelstore"
 	"mindmappings/internal/obs"
 	"mindmappings/internal/obs/slo"
-	"mindmappings/internal/resilience"
 	"mindmappings/internal/trainer"
 	"mindmappings/internal/workload"
 )
@@ -46,11 +45,12 @@ import (
 //	GET    /v1/jobs/{id}/events   live search progress (Server-Sent Events)
 //	GET    /v1/train/{id}/trace   span tree + event history of a training job
 //	GET    /v1/train/{id}/events  live training progress (Server-Sent Events)
-//	GET    /v1/metrics            JSON: job, trainer, cache, registry, store counters,
-//	                              runtime stats, and latency-histogram quantiles
+//	GET    /v1/metrics            JSON rendering of the /metrics registry: each series
+//	                              keyed name{labels}, histograms as count/sum/
+//	                              p50/p95/p99, plus uptime
 //	GET    /v1/status             operational summary: SLO health score, per-objective
 //	                              burn rates, queue pressure, retry hint
-//	GET    /metrics               Prometheus text exposition of the same registry
+//	GET    /metrics               Prometheus text exposition of the registry
 //	                              (per-tenant RED series, SLO burn-rate gauges)
 //	GET    /debug/flightrecorder  recent operational events (rejections, shed
 //	                              decisions, job failures, journal errors)
@@ -399,11 +399,13 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // and per-objective burn rates, queue pressure, and the retry hint —
 // everything /readyz and the load shedder act on, in readable form.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	queued, running := s.jobs.queueDepth()
 	st := StatusReport{
 		Health:               1,
 		Uptime:               time.Since(s.started).Round(time.Millisecond).String(),
 		Draining:             s.jobs.Draining(),
-		Jobs:                 s.jobs.Stats(),
+		Queued:               queued,
+		Running:              running,
 		QueueCap:             s.jobs.QueueCap(),
 		Workers:              s.jobs.Workers(),
 		RetryAfterHint:       s.jobs.RetryAfterHint().String(),
@@ -656,95 +658,11 @@ func (s *Server) handleGCModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"removed": removed, "kept_per_workload": keep})
 }
 
-// Metrics is the GET /v1/metrics body.
-type Metrics struct {
-	Uptime   string   `json:"uptime"`
-	Workers  int      `json:"workers"`
-	QueueCap int      `json:"queue_capacity"`
-	Jobs     JobStats `json:"jobs"`
-	// CostModels maps each cost-model backend that has served a job to its
-	// total paid evaluations (cache hits excluded).
-	CostModels map[string]int64 `json:"cost_models"`
-	EvalCache  CacheStats       `json:"eval_cache"`
-	Registry   RegistryStats    `json:"registry"`
-	// Admission is present once EnableAdmission has been called: per-tenant
-	// quota rejections, load-shed count, and slots in flight.
-	Admission *resilience.AdmissionStats `json:"admission,omitempty"`
-	// AdmissionTenants breaks rejections down per tenant (bounded set;
-	// beyond the cap tenants collapse into "_overflow").
-	AdmissionTenants []resilience.TenantRejections `json:"admission_tenants,omitempty"`
-	// RetryAfterHintSeconds is the live Retry-After estimate rejected
-	// clients are being handed right now.
-	RetryAfterHintSeconds float64 `json:"retry_after_hint_seconds"`
-	// SLO carries the tracker's latest per-objective evaluation once
-	// EnableSLO has been called.
-	SLO *slo.Report `json:"slo,omitempty"`
-	// Obs reports the observability layer's own hygiene: telemetry it
-	// discarded to stay bounded (nonzero = summarizing, not lying).
-	Obs ObsHygiene `json:"obs"`
-	// Trainer and Store are present once WithTraining has been called.
-	Trainer *trainer.Stats    `json:"trainer,omitempty"`
-	Store   *modelstore.Stats `json:"store,omitempty"`
-	// Atlas is present once EnableAtlas has been called: store occupancy
-	// plus the exact-hit / neighbor / cold traffic split and write-backs.
-	Atlas *AtlasServiceStats `json:"atlas,omitempty"`
-	// Runtime reports process health: goroutines, heap, GC, build info.
-	Runtime obs.RuntimeStats `json:"runtime"`
-	// Latencies summarizes every registered latency histogram (HTTP routes,
-	// job queue/run, sampled cost-model evals) as count/sum/p50/p95/p99.
-	Latencies map[string]obs.QuantileSummary `json:"latencies,omitempty"`
-}
-
-// ObsHygiene counts telemetry discarded by the obs layer's own bounds.
-type ObsHygiene struct {
-	// DroppedLabels is label-set registrations collapsed into _overflow
-	// series by the per-family cardinality cap (e.g. an X-Tenant flood).
-	DroppedLabels int64 `json:"dropped_labels"`
-	// DroppedSpans is trace spans discarded by the per-parent child cap.
-	DroppedSpans int64 `json:"dropped_spans"`
-}
-
+// handleMetrics serves the registry as JSON, rendered by the same walk as
+// GET /metrics: every series keyed by its exposition identity
+// (`name{labels}`), histograms as count/sum/p50/p95/p99, plus uptime.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := Metrics{
-		Uptime:     time.Since(s.started).Round(time.Millisecond).String(),
-		Workers:    s.jobs.Workers(),
-		QueueCap:   s.jobs.QueueCap(),
-		Jobs:       s.jobs.Stats(),
-		CostModels: s.jobs.EvalCounts(),
-		EvalCache:  s.cache.Stats(),
-		Registry:   s.registry.Stats(),
-		Runtime:    obs.ReadRuntime(s.started),
-	}
-	m.RetryAfterHintSeconds = s.jobs.RetryAfterHint().Seconds()
-	m.Obs = ObsHygiene{DroppedLabels: s.reg.DroppedLabels(), DroppedSpans: obs.DroppedSpans()}
-	if a := s.jobs.admissionCtrl(); a != nil {
-		as := a.Stats()
-		m.Admission = &as
-		m.AdmissionTenants = a.RejectionsByTenant()
-	}
-	if s.slo != nil {
-		rep := s.slo.Evaluate()
-		m.SLO = &rep
-	}
-	if s.trainer != nil {
-		ts := s.trainer.Stats()
-		m.Trainer = &ts
-	}
-	if s.store != nil {
-		ss := s.store.Stats()
-		m.Store = &ss
-	}
-	if as, ok := s.jobs.AtlasStats(); ok {
-		m.Atlas = &as
-	}
-	if hists := s.reg.Histograms(); len(hists) > 0 {
-		m.Latencies = make(map[string]obs.QuantileSummary, len(hists))
-		for name, h := range hists {
-			if h.Count() == 0 {
-				continue // unobserved histograms would only add noise
-			}
-			m.Latencies[name] = h.Summary()
-		}
-	}
+	m := s.reg.Snapshot()
+	m["uptime"] = time.Since(s.started).Round(time.Millisecond).String()
 	writeJSON(w, http.StatusOK, m)
 }

@@ -100,18 +100,30 @@ func waitJob(t *testing.T, ts *httptest.Server, id string, timeout time.Duration
 	}
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) Metrics {
+// getMetrics fetches the GET /v1/metrics snapshot.
+func getMetrics(t *testing.T, ts *httptest.Server) map[string]any {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m Metrics
+	var m map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// metric reads one counter or gauge series from a /v1/metrics snapshot,
+// failing the test when the series is absent.
+func metric(t *testing.T, m map[string]any, series string) float64 {
+	t.Helper()
+	v, ok := m[series].(float64)
+	if !ok {
+		t.Fatalf("/v1/metrics has no numeric series %s (got %v)", series, m[series])
+	}
+	return v
 }
 
 // TestConcurrentSearchService is the subsystem acceptance test: ≥8
@@ -193,14 +205,14 @@ func TestConcurrentSearchService(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts)
-	if m.Jobs.Done < n {
-		t.Fatalf("metrics report %d done jobs, want >= %d", m.Jobs.Done, n)
+	if done := metric(t, m, "search_jobs_done_total"); done < n {
+		t.Fatalf("metrics report %v done jobs, want >= %d", done, n)
 	}
-	if m.EvalCache.Hits == 0 {
-		t.Fatalf("jobs sharing problems produced zero eval-cache hits: %+v", m.EvalCache)
+	if metric(t, m, "eval_cache_hits_total") == 0 {
+		t.Fatal("jobs sharing problems produced zero eval-cache hits")
 	}
-	if m.Registry.Loads != 1 {
-		t.Fatalf("surrogate loaded %d times, want once", m.Registry.Loads)
+	if loads := metric(t, m, "model_registry_disk_loads_total"); loads != 1 {
+		t.Fatalf("surrogate loaded %v times, want once", loads)
 	}
 }
 

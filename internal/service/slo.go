@@ -72,8 +72,8 @@ func (jm *JobManager) sloObjectives(cfg SLOConfig) []slo.Objective {
 			Description: "terminal search jobs that finished successfully (cancellations excluded)",
 			Target:      cfg.Availability,
 			SLI: func() (good, total float64) {
-				d := float64(jm.sloDone.Load())
-				f := float64(jm.sloFailed.Load())
+				d := float64(jm.count.done.Value())
+				f := float64(jm.count.failed.Value())
 				return d, d + f
 			},
 		})
@@ -118,11 +118,12 @@ type StatusReport struct {
 	Draining bool    `json:"draining"`
 	// SLO carries the per-objective evaluations when EnableSLO ran.
 	SLO *slo.Report `json:"slo,omitempty"`
-	// Jobs/queue pressure, the raw signals behind the queue-wait burn.
-	Jobs           JobStats `json:"jobs"`
-	QueueCap       int      `json:"queue_capacity"`
-	Workers        int      `json:"workers"`
-	RetryAfterHint string   `json:"retry_after_hint"`
+	// Queue pressure, the raw signals behind the queue-wait burn.
+	Queued         int    `json:"queued"`
+	Running        int    `json:"running"`
+	QueueCap       int    `json:"queue_capacity"`
+	Workers        int    `json:"workers"`
+	RetryAfterHint string `json:"retry_after_hint"`
 	// FlightRecorderEvents is how many events the ring has ever seen
 	// (GET /debug/flightrecorder holds the most recent window).
 	FlightRecorderEvents uint64 `json:"flight_recorder_events"`

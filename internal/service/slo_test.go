@@ -129,7 +129,7 @@ func TestSLOHealthDrivesLoadShedding(t *testing.T) {
 	// Seed the burn baseline, then fail 100 jobs' worth of availability and
 	// jump past the fast window so both burn windows see the failures.
 	tr.Evaluate()
-	jm.sloFailed.Add(100)
+	jm.count.failed.Add(100)
 	clockMu.Lock()
 	now = now.Add(6 * time.Minute)
 	clockMu.Unlock()
@@ -184,14 +184,11 @@ func TestSLOHealthDrivesLoadShedding(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts)
-	if m.SLO == nil || m.SLO.Health != 0 {
-		t.Fatalf("/v1/metrics SLO = %+v, want health 0", m.SLO)
+	if h := metric(t, m, "slo_health_score"); h != 0 {
+		t.Fatalf("/v1/metrics slo_health_score = %v, want 0", h)
 	}
-	if m.Admission == nil || m.Admission.Shed != 1 {
-		t.Fatalf("/v1/metrics admission = %+v, want 1 shed", m.Admission)
-	}
-	if len(m.AdmissionTenants) == 0 {
-		t.Fatal("/v1/metrics missing per-tenant admission rejections")
+	if metric(t, m, "admission_shed_total") != 1 || metric(t, m, `tenant_rejected_total{tenant="acme",code="503"}`) != 1 {
+		t.Fatalf("/v1/metrics does not count acme's one shed: %v", m)
 	}
 }
 
@@ -301,10 +298,10 @@ func TestTenantAccountingAndConvergence(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts)
-	if m.Obs.DroppedLabels != 0 || m.Obs.DroppedSpans < 0 {
-		t.Fatalf("obs hygiene counters unexpected: %+v", m.Obs)
+	if d := metric(t, m, "obs_dropped_labels_total"); d != 0 {
+		t.Fatalf("obs_dropped_labels_total = %v, want 0", d)
 	}
-	if m.RetryAfterHintSeconds < 0 {
-		t.Fatalf("retry_after_hint_seconds = %v, want >= 0", m.RetryAfterHintSeconds)
+	if h := metric(t, m, "admission_retry_after_hint_seconds"); h < 0 {
+		t.Fatalf("admission_retry_after_hint_seconds = %v, want >= 0", h)
 	}
 }

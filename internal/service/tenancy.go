@@ -43,6 +43,9 @@ type tenantInstruments struct {
 	// jobSeconds is request latency submit→terminal (queue wait included:
 	// that is what the tenant experiences).
 	jobSeconds *obs.Histogram
+	// quota and shed count admission rejections: 429 (rate or concurrency
+	// quota) and 503 (load shedding).
+	quota, shed *obs.Counter
 }
 
 // tenantFor returns (lazily registering) the tenant's instrument set, or
@@ -84,42 +87,32 @@ func (jm *JobManager) tenantFor(tenant string) *tenantInstruments {
 		jobSeconds: in.reg.HistogramWith("tenant_job_seconds",
 			"Whole-request latency per tenant, submission to terminal state.",
 			nil, names, vals),
+		quota: in.reg.CounterWith("tenant_rejected_total", rejectedHelp,
+			[]string{"tenant", "code"}, []string{tenantLabel(tenant), "429"}),
+		shed: in.reg.CounterWith("tenant_rejected_total", rejectedHelp,
+			[]string{"tenant", "code"}, []string{tenantLabel(tenant), "503"}),
 	}
-	// Rejection counters read through to the admission controller's
-	// per-tenant history, so they keep counting while the tenant is idle
-	// and work whichever of Instrument/EnableAdmission ran first.
-	raw := tenant
-	rejFor := func() (r TenantRejectionsSnapshot) {
-		if a := jm.admissionCtrl(); a != nil {
-			rej := a.RejectionsFor(raw)
-			r.RejectedQuota = rej.RejectedRate + rej.RejectedConc
-			r.Shed = rej.Shed
-		}
-		return r
-	}
-	in.reg.CounterFuncWith("tenant_rejected_total",
-		"Admission rejections per tenant by HTTP code (429 quota, 503 shed).",
-		[]string{"tenant", "code"}, []string{tenantLabel(tenant), "429"},
-		func() float64 { return float64(rejFor().RejectedQuota) })
-	in.reg.CounterFuncWith("tenant_rejected_total",
-		"Admission rejections per tenant by HTTP code (429 quota, 503 shed).",
-		[]string{"tenant", "code"}, []string{tenantLabel(tenant), "503"},
-		func() float64 { return float64(rejFor().Shed) })
 	jm.tenants[tenant] = ti
 	return ti
 }
 
-// TenantRejectionsSnapshot folds the admission controller's per-tenant
-// rejection counters into the two HTTP codes the transport emits.
-type TenantRejectionsSnapshot struct {
-	RejectedQuota int64 // 429: rate or concurrency quota
-	Shed          int64 // 503: load shedding
-}
+const rejectedHelp = "Admission rejections per tenant by HTTP code (429 quota, 503 shed)."
 
 // accepted records one accepted submission.
 func (ti *tenantInstruments) accepted() {
 	if ti != nil {
 		ti.requests.Inc()
+	}
+}
+
+// rejected records one admission rejection by its HTTP code.
+func (ti *tenantInstruments) rejected(code int) {
+	switch {
+	case ti == nil:
+	case code == 503:
+		ti.shed.Inc()
+	default:
+		ti.quota.Inc()
 	}
 }
 

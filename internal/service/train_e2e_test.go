@@ -413,8 +413,8 @@ func TestTrainingDisabledAnswers503(t *testing.T) {
 	}
 }
 
-// TestTrainerMetricsExposed checks /v1/metrics carries trainer and store
-// sections once training is enabled.
+// TestTrainerMetricsExposed checks /v1/metrics carries the trainer and
+// store series once training is enabled.
 func TestTrainerMetricsExposed(t *testing.T) {
 	ts, _, _ := testTrainingServer(t)
 	tresp, body := postJSON(t, ts.URL+"/v1/train", tinyTrainRequest())
@@ -427,10 +427,10 @@ func TestTrainerMetricsExposed(t *testing.T) {
 	}
 	waitTrainJob(t, ts, tjob.ID, 2*time.Minute)
 	m := getMetrics(t, ts)
-	if m.Trainer == nil || m.Trainer.Done != 1 {
-		t.Fatalf("trainer metrics: %+v", m.Trainer)
+	if done := metric(t, m, "trainer_jobs_done_total"); done != 1 {
+		t.Fatalf("trainer_jobs_done_total = %v, want 1", done)
 	}
-	if m.Store == nil || m.Store.Artifacts != 1 {
-		t.Fatalf("store metrics: %+v", m.Store)
+	if n := metric(t, m, "store_artifacts"); n != 1 {
+		t.Fatalf("store_artifacts = %v, want 1", n)
 	}
 }

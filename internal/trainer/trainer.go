@@ -897,15 +897,15 @@ func costModelFingerprint(name string, a arch.Spec, algo *loopnest.Algorithm) st
 	return hex.EncodeToString(sum[:])
 }
 
-// Stats summarizes pipeline lifecycle counts for /v1/metrics.
+// Stats summarizes pipeline lifecycle counts (the trainer_jobs_* series).
 type Stats struct {
-	Submitted uint64 `json:"submitted"`
-	Queued    int    `json:"queued"`
-	Running   int    `json:"running"`
-	Done      uint64 `json:"done"`
-	Failed    uint64 `json:"failed"`
-	Cancelled uint64 `json:"cancelled"`
-	Workers   int    `json:"workers"`
+	Submitted uint64
+	Queued    int
+	Running   int
+	Done      uint64
+	Failed    uint64
+	Cancelled uint64
+	Workers   int
 }
 
 // Stats snapshots lifecycle counters and live queue state.
