@@ -63,12 +63,27 @@ func (c *Cost) Reset(nt int) {
 // Clone returns a deep copy of the exported cost fields, detached from any
 // evaluation workspace. Costs stored in shared caches must be clones: the
 // original may be an EvaluateInto workspace whose slices are overwritten by
-// the next evaluation.
+// the next evaluation. All per-level slices share one backing slab (one
+// allocation per clone), each capacity-capped so an append cannot spill
+// into its neighbour; empty slices stay nil.
 func (c *Cost) Clone() Cost {
 	out := *c
+	n := 0
 	for l := range c.Accesses {
-		out.Accesses[l] = append([]float64(nil), c.Accesses[l]...)
-		out.EnergyPJ[l] = append([]float64(nil), c.EnergyPJ[l]...)
+		n += len(c.Accesses[l]) + len(c.EnergyPJ[l])
+	}
+	slab := make([]float64, 0, n)
+	take := func(src []float64) []float64 {
+		if len(src) == 0 {
+			return nil
+		}
+		k := len(slab)
+		slab = append(slab, src...)
+		return slab[k:len(slab):len(slab)]
+	}
+	for l := range c.Accesses {
+		out.Accesses[l] = take(c.Accesses[l])
+		out.EnergyPJ[l] = take(c.EnergyPJ[l])
 	}
 	out.Scratch = nil
 	return out

@@ -86,7 +86,9 @@ func (s *Space) Decode(vec []float64) (Mapping, error) {
 	}
 	d := s.NumDims()
 	i := d // skip problem id
-	des := desired{logs: make([][4]float64, d)}
+	sc := getScratch()
+	defer putScratch(sc)
+	des := sc.desiredFor(s)
 	levelToSlot := [arch.NumLevels]int{ChainL1, ChainL2, ChainDRAM}
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		for dim := 0; dim < d; dim++ {
@@ -99,7 +101,6 @@ func (s *Space) Decode(vec []float64) (Mapping, error) {
 		i++
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		des.ranks[l] = make([]float64, d)
 		for dim := 0; dim < d; dim++ {
 			r := vec[i]
 			if math.IsNaN(r) {
@@ -110,13 +111,14 @@ func (s *Space) Decode(vec []float64) (Mapping, error) {
 		}
 	}
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		des.alloc[level] = make([]float64, s.NumTensors())
 		for t := range des.alloc[level] {
 			des.alloc[level][t] = clamp01(vec[i])
 			i++
 		}
 	}
-	return s.projectDesired(des), nil
+	m := s.emptyMapping()
+	s.projectDesired(sc, des, &m)
+	return m, nil
 }
 
 // sanitizeLog bounds a desired log2 tile factor so NaNs and infinities from

@@ -55,9 +55,17 @@ func (c FactorChain) Logs() [4]float64 {
 // (paper §4.2: "nearest neighbor valid mappings based on euclidean
 // distance").
 func (c FactorChain) LogDistance(desired [4]float64) float64 {
+	logs := c.Logs()
+	return logDistance(&logs, &desired)
+}
+
+// logDistance is LogDistance on precomputed chain logs: one subtract,
+// square and add per band, in band order, so the result is bit-identical
+// whether the logs were just taken or stored by New.
+func logDistance(logs, desired *[4]float64) float64 {
 	sum := 0.0
-	for i, f := range c {
-		d := math.Log2(float64(f)) - desired[i]
+	for i := range logs {
+		d := logs[i] - desired[i]
 		sum += d * d
 	}
 	return sum
@@ -70,39 +78,32 @@ func EnumerateChains(n int) []FactorChain {
 	if n < 1 {
 		return nil
 	}
+	// Every divisor of n/a or n/a/b divides n, so the inner loops filter
+	// n's ascending divisors instead of recomputing each remainder's: the
+	// same chains in the same order, without a slice and sort per step.
 	divs := Divisors(n)
 	var out []FactorChain
 	for _, a := range divs {
 		rem1 := n / a
-		for _, b := range Divisors(rem1) {
+		for _, b := range divs {
+			if b > rem1 {
+				break
+			}
+			if rem1%b != 0 {
+				continue
+			}
 			rem2 := rem1 / b
-			for _, c := range Divisors(rem2) {
-				out = append(out, FactorChain{a, b, c, rem2 / c})
+			for _, c := range divs {
+				if c > rem2 {
+					break
+				}
+				if rem2%c == 0 {
+					out = append(out, FactorChain{a, b, c, rem2 / c})
+				}
 			}
 		}
 	}
 	return out
-}
-
-// NearestChain returns the chain among candidates minimizing LogDistance to
-// desired, considering only chains whose spatial factor is at most
-// spatialCap (<= 0 means uncapped). The boolean reports whether any chain
-// qualified.
-func NearestChain(candidates []FactorChain, desired [4]float64, spatialCap int) (FactorChain, bool) {
-	best := FactorChain{}
-	bestDist := math.Inf(1)
-	found := false
-	for _, c := range candidates {
-		if spatialCap > 0 && c[ChainSpatial] > spatialCap {
-			continue
-		}
-		if d := c.LogDistance(desired); d < bestDist {
-			bestDist = d
-			best = c
-			found = true
-		}
-	}
-	return best, found
 }
 
 // countChains returns the number of ordered 4-way factorizations of n

@@ -112,37 +112,6 @@ func TestLogDistance(t *testing.T) {
 	}
 }
 
-func TestNearestChainExact(t *testing.T) {
-	chains := EnumerateChains(16)
-	want := FactorChain{2, 4, 2, 1}
-	got, ok := NearestChain(chains, want.Logs(), 0)
-	if !ok || got != want {
-		t.Fatalf("NearestChain = %v ok=%v, want %v", got, ok, want)
-	}
-}
-
-func TestNearestChainSpatialCap(t *testing.T) {
-	chains := EnumerateChains(16)
-	desired := FactorChain{1, 16, 1, 1}.Logs()
-	got, ok := NearestChain(chains, desired, 4)
-	if !ok {
-		t.Fatal("no chain under cap")
-	}
-	if got[ChainSpatial] > 4 {
-		t.Fatalf("cap violated: %v", got)
-	}
-	// Should pick the largest allowed spatial factor, 4.
-	if got[ChainSpatial] != 4 {
-		t.Fatalf("NearestChain under cap = %v, want spatial 4", got)
-	}
-}
-
-func TestNearestChainEmpty(t *testing.T) {
-	if _, ok := NearestChain(nil, [4]float64{}, 0); ok {
-		t.Fatal("NearestChain on empty candidates must report !ok")
-	}
-}
-
 func TestSmallestPrimeFactor(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 9: 3, 15: 3, 49: 7, 97: 97}
 	for n, want := range cases {

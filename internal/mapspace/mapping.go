@@ -37,20 +37,46 @@ type Mapping struct {
 	Alloc [arch.OnChipLevels][]float64
 }
 
-// Clone returns a deep copy of the mapping.
+// Clone returns a deep copy of the mapping. The copy's integer attributes
+// (tiles, spatial factors, orders) share one backing slab and its
+// allocations another, so a clone costs two allocations; every view is a
+// full slice expression, so appending to one can never spill into its
+// neighbour. Empty attributes stay nil, as in the source.
 func (m *Mapping) Clone() Mapping {
-	var out Mapping
+	nInts := len(m.Spatial)
 	for l := range m.Tile {
-		out.Tile[l] = append([]int(nil), m.Tile[l]...)
+		nInts += len(m.Tile[l]) + len(m.Order[l])
 	}
-	out.Spatial = append([]int(nil), m.Spatial...)
+	nFloats := 0
+	for l := range m.Alloc {
+		nFloats += len(m.Alloc[l])
+	}
+	var out Mapping
+	ints := make([]int, 0, nInts)
+	floats := make([]float64, 0, nFloats)
+	for l := range m.Tile {
+		out.Tile[l], ints = carve(ints, m.Tile[l])
+	}
+	out.Spatial, ints = carve(ints, m.Spatial)
 	for l := range m.Order {
-		out.Order[l] = append([]int(nil), m.Order[l]...)
+		out.Order[l], ints = carve(ints, m.Order[l])
 	}
 	for l := range m.Alloc {
-		out.Alloc[l] = append([]float64(nil), m.Alloc[l]...)
+		out.Alloc[l], floats = carve(floats, m.Alloc[l])
 	}
 	return out
+}
+
+// carve appends src to slab (which has room for it) and returns the
+// capacity-capped view of the copy plus the extended slab; an empty src
+// yields a nil view.
+func carve[T int | float64](slab, src []T) (view, rest []T) {
+	if len(src) == 0 {
+		return nil, slab
+	}
+	n := len(slab)
+	slab = append(slab, src...)
+	return slab[n:len(slab):len(slab)], slab
 }
 
 // Chain returns dimension d's four-band factorization.

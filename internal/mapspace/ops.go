@@ -30,8 +30,8 @@ func (s *Space) Perturb(rng *rand.Rand, m *Mapping) Mapping {
 		case 3:
 			s.moveFactorBetweenBands(rng, &out)
 		}
-		out = s.Repair(out)
-		if s.IsMember(&out) == nil {
+		s.repairOwned(&out)
+		if s.isMember(&out) {
 			return out
 		}
 	}
@@ -48,16 +48,9 @@ func (s *Space) moveResampleChain(rng *rand.Rand, m *Mapping) {
 			budget /= sp
 		}
 	}
-	var eligible []FactorChain
-	for _, c := range s.chains[dim] {
-		if c[ChainSpatial] <= budget {
-			eligible = append(eligible, c)
-		}
+	if c, ok := s.randomChain(rng, dim, budget); ok {
+		m.SetChain(dim, c)
 	}
-	if len(eligible) == 0 {
-		return
-	}
-	m.SetChain(dim, eligible[rng.Intn(len(eligible))])
 }
 
 func (s *Space) moveSwapOrder(rng *rand.Rand, m *Mapping) {
@@ -97,16 +90,18 @@ func (s *Space) moveShiftAlloc(rng *rand.Rand, m *Mapping) {
 func (s *Space) moveFactorBetweenBands(rng *rand.Rand, m *Mapping) {
 	dim := rng.Intn(s.NumDims())
 	c := m.Chain(dim)
-	var srcs []int
+	var srcs [len(c)]int
+	n := 0
 	for band, f := range c {
 		if f > 1 {
-			srcs = append(srcs, band)
+			srcs[n] = band
+			n++
 		}
 	}
-	if len(srcs) == 0 {
+	if n == 0 {
 		return
 	}
-	src := srcs[rng.Intn(len(srcs))]
+	src := srcs[rng.Intn(n)]
 	dst := rng.Intn(4)
 	for dst == src {
 		dst = rng.Intn(4)
@@ -140,7 +135,8 @@ func (s *Space) Crossover(rng *rand.Rand, a, b *Mapping) Mapping {
 			child.Alloc[level][t] = lambda*a.Alloc[level][t] + (1-lambda)*b.Alloc[level][t]
 		}
 	}
-	return s.Repair(child)
+	s.repairOwned(&child)
+	return child
 }
 
 // Mutate randomizes each attribute group independently with probability
@@ -167,8 +163,8 @@ func (s *Space) Mutate(rng *rand.Rand, m *Mapping, rate float64) Mapping {
 		s.moveShiftAlloc(rng, &out)
 		changed = true
 	}
-	if !changed {
-		return out
+	if changed {
+		s.repairOwned(&out)
 	}
-	return s.Repair(out)
+	return out
 }

@@ -2,8 +2,12 @@ package mapspace
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"mindmappings/internal/arch"
+	"mindmappings/internal/loopnest"
 )
 
 func TestPerturbProducesValidNeighbors(t *testing.T) {
@@ -160,6 +164,102 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		vec := s.Encode(&m)
 		if _, err := s.Decode(vec); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// benchSpaceCNN is the cnn-layer space of the search benchmarks.
+func benchSpaceCNN(t testing.TB) *Space {
+	t.Helper()
+	p, err := loopnest.NewCNNProblem("bench", 16, 256, 256, 14, 14, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(arch.Default(2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestOperatorAllocations bounds the allocations of the operators every
+// search runs per candidate, at their current counts: a mapping costs two
+// (one int slab, one float slab) and projection temporaries come from
+// pooled scratch. Re-adding a per-call temporary fails here.
+func TestOperatorAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random, so scratch reallocates")
+	}
+	s := benchSpaceCNN(t)
+	rng := rand.New(rand.NewSource(5))
+	a, b := s.Random(rng), s.Random(rng)
+	invalid := a.Clone()
+	invalid.Tile[arch.DRAM][2] *= 3 // break the factorization of dim C
+	if s.IsMember(&invalid) == nil {
+		t.Fatal("test mapping should be invalid")
+	}
+	cases := []struct {
+		name string
+		max  float64
+		op   func()
+	}{
+		{"Repair(invalid)", 2, func() { s.Repair(invalid) }},
+		{"Crossover", 2, func() { s.Crossover(rng, &a, &b) }},
+		{"Mutate", 2, func() { s.Mutate(rng, &a, 1) }},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(200, c.op); got > c.max {
+			t.Errorf("%s: %v allocs per call, want <= %v", c.name, got, c.max)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestSharedSpaceConcurrentOperators runs the operators from several
+// goroutines on one shared Space: pooled scratch must never leak between
+// calls, so each goroutine reproduces its serial results exactly.
+func TestSharedSpaceConcurrentOperators(t *testing.T) {
+	s := benchSpaceCNN(t)
+	run := func(seed int64) []string {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := s.Random(rng), s.Random(rng)
+		var out []string
+		for i := 0; i < 50; i++ {
+			c := s.Crossover(rng, &a, &b)
+			c = s.Mutate(rng, &c, 0.3)
+			p := s.Perturb(rng, &c)
+			d, err := s.Decode(s.Encode(&p))
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			out = append(out, d.String())
+			a, b = b, d
+		}
+		return out
+	}
+	const workers = 4
+	want := make([][]string, workers)
+	for w := range want {
+		want[w] = run(int64(w))
+	}
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = run(int64(w))
+		}(w)
+	}
+	wg.Wait()
+	for w := range want {
+		for i := range want[w] {
+			if i >= len(got[w]) || got[w][i] != want[w][i] {
+				t.Fatalf("worker %d step %d diverged from its serial run", w, i)
+			}
 		}
 	}
 }

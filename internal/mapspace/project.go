@@ -2,7 +2,7 @@ package mapspace
 
 import (
 	"math"
-	"sort"
+	"sync"
 
 	"mindmappings/internal/arch"
 )
@@ -17,9 +17,53 @@ type desired struct {
 	alloc [arch.OnChipLevels][]float64
 }
 
-func (s *Space) desiredFrom(m *Mapping) desired {
+// scratch holds the temporaries of one projection or membership check.
+// *Space is shared across goroutines and stays read-only after New, so
+// the temporaries come from a pool rather than living on the Space.
+type scratch struct {
+	des     desired
+	floats  []float64 // backing of des.ranks and des.alloc
+	idx     []int     // index sorts: dims by desired spatial, tensors by footprint
+	tile    []int     // cumulative tile of one level
+	fp      []float64 // per-tensor footprints, shares or weights
+	surplus []float64 // per-tensor allocation surpluses or random weights
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
+func putScratch(sc *scratch) { scratchPool.Put(sc) }
+
+// resize returns b with length n, reallocating only when its capacity is
+// short. The contents are unspecified.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// desiredFor returns the scratch's desired point sized for s, all zeros.
+func (sc *scratch) desiredFor(s *Space) *desired {
+	d, nt := s.NumDims(), s.NumTensors()
+	des := &sc.des
+	des.logs = resize(des.logs, d)
+	clear(des.logs)
+	sc.floats = resize(sc.floats, int(arch.NumLevels)*d+arch.OnChipLevels*nt)
+	clear(sc.floats)
+	rest := sc.floats
+	for l := range des.ranks {
+		des.ranks[l], rest = rest[:d:d], rest[d:]
+	}
+	for l := range des.alloc {
+		des.alloc[l], rest = rest[:nt:nt], rest[nt:]
+	}
+	return des
+}
+
+func (s *Space) desiredFrom(sc *scratch, m *Mapping) *desired {
 	d := s.NumDims()
-	des := desired{logs: make([][4]float64, d)}
+	des := sc.desiredFor(s)
 	structurallyComplete := len(m.Spatial) == d
 	for l := range m.Tile {
 		if len(m.Tile[l]) != d {
@@ -43,7 +87,6 @@ func (s *Space) desiredFrom(m *Mapping) desired {
 		}
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		des.ranks[l] = make([]float64, d)
 		if isPermutation(m.Order[l], d) {
 			for pos, dim := range m.Order[l] {
 				des.ranks[l][dim] = float64(pos)
@@ -51,7 +94,6 @@ func (s *Space) desiredFrom(m *Mapping) desired {
 		} // else: all-zero ranks decode to the identity order
 	}
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		des.alloc[level] = make([]float64, s.NumTensors())
 		for t := range des.alloc[level] {
 			if t < len(m.Alloc[level]) {
 				des.alloc[level][t] = m.Alloc[level][t]
@@ -69,7 +111,11 @@ func (s *Space) desiredFrom(m *Mapping) desired {
 // for tile factors, rank space for loop orders, and fraction space for
 // allocations.
 func (s *Space) Project(m Mapping) Mapping {
-	return s.projectDesired(s.desiredFrom(&m))
+	sc := getScratch()
+	defer putScratch(sc)
+	out := s.emptyMapping()
+	s.projectDesired(sc, s.desiredFrom(sc, &m), &out)
+	return out
 }
 
 // Reproject adapts a mapping solved for a different problem shape of the
@@ -82,7 +128,9 @@ func (s *Space) Project(m Mapping) Mapping {
 // on-chip blocking, not the outer DRAM trip count, is what the search
 // spent its budget discovering.
 func (s *Space) Reproject(m *Mapping) Mapping {
-	des := s.desiredFrom(m)
+	sc := getScratch()
+	defer putScratch(sc)
+	des := s.desiredFrom(sc, m)
 	for dim := 0; dim < s.NumDims(); dim++ {
 		onchip := des.logs[dim][ChainL1] + des.logs[dim][ChainSpatial] + des.logs[dim][ChainL2]
 		dram := math.Log2(float64(s.Prob.Shape[dim])) - onchip
@@ -91,50 +139,82 @@ func (s *Space) Reproject(m *Mapping) Mapping {
 		}
 		des.logs[dim][ChainDRAM] = dram
 	}
-	return s.projectDesired(des)
+	out := s.emptyMapping()
+	s.projectDesired(sc, des, &out)
+	return out
 }
 
 // Repair returns m unchanged when it is already valid, otherwise its
 // projection. All mutation-style operators funnel through this.
 func (s *Space) Repair(m Mapping) Mapping {
-	if s.IsMember(&m) == nil {
+	if s.isMember(&m) {
 		return m
 	}
 	return s.Project(m)
 }
 
-func (s *Space) projectDesired(des desired) Mapping {
-	m := s.emptyMapping()
+// repairOwned is Repair for a mapping the caller owns outright, such as a
+// fresh clone: projection overwrites its storage instead of allocating a
+// new mapping. A structurally incomplete m gets fresh storage.
+func (s *Space) repairOwned(m *Mapping) {
+	sc := getScratch()
+	defer putScratch(sc)
+	if s.checkMember(sc, m, false) == nil {
+		return
+	}
+	des := s.desiredFrom(sc, m)
+	if !s.shaped(m) {
+		*m = s.emptyMapping()
+	}
+	s.projectDesired(sc, des, m)
+}
 
+// shaped reports whether m has this space's attribute lengths, so that
+// projection can write every attribute in place.
+func (s *Space) shaped(m *Mapping) bool {
+	d, nt := s.NumDims(), s.NumTensors()
+	if len(m.Spatial) != d {
+		return false
+	}
+	for l := range m.Tile {
+		if len(m.Tile[l]) != d || len(m.Order[l]) != d {
+			return false
+		}
+	}
+	for l := range m.Alloc {
+		if len(m.Alloc[l]) != nt {
+			return false
+		}
+	}
+	return true
+}
+
+// projectDesired writes the valid mapping nearest des into m, which must
+// be shaped for the space; every attribute is overwritten.
+func (s *Space) projectDesired(sc *scratch, des *desired, m *Mapping) {
 	// 1. Per-dimension nearest factor chains under the PE budget. Greedy in
 	// descending desired spatial so large parallelism requests are honored
-	// first.
+	// first (stable: ties keep dimension order).
 	d := s.NumDims()
-	dims := make([]int, d)
-	for i := range dims {
-		dims[i] = i
-	}
-	sort.SliceStable(dims, func(a, b int) bool {
-		return des.logs[dims[a]][ChainSpatial] > des.logs[dims[b]][ChainSpatial]
+	dims := identityPermInto(resize(sc.idx, d))
+	sc.idx = dims
+	insertionSort(dims, func(a, b int) bool {
+		return des.logs[a][ChainSpatial] > des.logs[b][ChainSpatial]
 	})
 	budget := s.Arch.NumPEs
 	for _, dim := range dims {
-		c, ok := NearestChain(s.chains[dim], des.logs[dim], budget)
-		if !ok {
-			// Always possible: spatial factor 1 chains exist for every size.
-			c, _ = NearestChain(s.chains[dim], des.logs[dim], 1)
-		}
+		c := s.nearestChain(dim, &des.logs[dim], budget)
 		m.SetChain(dim, c)
 		budget /= c[ChainSpatial]
 	}
 
 	// 2. Shrink tiles until footprints fit raw buffer capacity.
-	s.shrinkToFit(&m, des.logs)
+	s.shrinkToFit(sc, m, des.logs)
 
 	// 3. Loop orders: argsort of the rank scores, ties broken by dimension
 	// index for determinism.
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		m.Order[l] = ranksToPerm(des.ranks[l])
+		ranksToPerm(m.Order[l], des.ranks[l])
 	}
 
 	// 4. Allocations: clamp the request and project onto the feasible
@@ -144,12 +224,33 @@ func (s *Space) projectDesired(des desired) Mapping {
 			m.Alloc[level][t] = clamp01(des.alloc[level][t])
 		}
 	}
-	if !s.repairAlloc(&m) {
+	if !s.repairAlloc(sc, m) {
 		// shrinkToFit guarantees feasibility; reaching here means a logic
 		// error, so fail safe with the always-valid minimal mapping.
-		m = s.minimalMapping()
+		*m = s.minimalMapping()
 	}
-	return m
+}
+
+// nearestChain returns dimension dim's chain minimizing the squared log2
+// distance to desired among chains whose spatial factor is at most
+// spatialCap (>= 1). Distances come from the chain logs precomputed at New,
+// with FactorChain.LogDistance's arithmetic, so they are bit-identical to
+// it; ties keep the first chain in enumeration order. Desired logs are
+// finite, so the spatial-1 chains always qualify.
+func (s *Space) nearestChain(dim int, desired *[4]float64, spatialCap int) FactorChain {
+	chains, logs := s.chains[dim], s.chainLogs[dim]
+	best := 0
+	bestDist := math.Inf(1)
+	for i := range chains {
+		if chains[i][ChainSpatial] > spatialCap {
+			continue
+		}
+		if dist := logDistance(&logs[i], desired); dist < bestDist {
+			bestDist = dist
+			best = i
+		}
+	}
+	return chains[best]
 }
 
 func clamp01(v float64) float64 {
@@ -162,15 +263,13 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// ranksToPerm converts per-dimension rank scores into a permutation
-// (outermost first). Lower scores go outer; ties resolve by dimension index.
-func ranksToPerm(ranks []float64) []int {
-	perm := identityPerm(len(ranks))
-	if len(ranks) == 0 {
-		return perm
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ra, rb := ranks[perm[a]], ranks[perm[b]]
+// ranksToPerm writes into perm the permutation (outermost first) that
+// orders the per-dimension rank scores: lower scores go outer, NaN counts
+// as 0, and ties resolve by dimension index.
+func ranksToPerm(perm []int, ranks []float64) {
+	identityPermInto(perm)
+	insertionSort(perm, func(a, b int) bool {
+		ra, rb := ranks[a], ranks[b]
 		if math.IsNaN(ra) {
 			ra = 0
 		}
@@ -179,7 +278,18 @@ func ranksToPerm(ranks []float64) []int {
 		}
 		return ra < rb
 	})
-	return perm
+}
+
+// insertionSort stably orders the indices in idx by less, which compares
+// two index values. On the few dims or tensors of a mapping it makes
+// exactly the comparisons and swaps sort.SliceStable would (which
+// insertion-sorts runs of up to 20), without reflection or allocation.
+func insertionSort(idx []int, less func(a, b int) bool) {
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && less(idx[j], idx[j-1]); j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
 }
 
 // bandProduct returns the cumulative tile factor of dimension dim at the
@@ -197,11 +307,11 @@ func bandProduct(m *Mapping, level arch.Level, dim int) int {
 // on-chip levels. Termination: every replacement strictly reduces the
 // offending cumulative tile factor, which is bounded below by 1, and the
 // all-ones tiling fits by construction of the Space.
-func (s *Space) shrinkToFit(m *Mapping, logs [][4]float64) {
+func (s *Space) shrinkToFit(sc *scratch, m *Mapping, logs [][4]float64) {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
-		for s.totalFootprint(m, level) > capWords+allocTolerance {
-			if !s.shrinkOnce(m, level, logs) {
+		for s.totalFootprint(sc, m, level) > capWords+allocTolerance {
+			if !s.shrinkOnce(sc, m, level, logs) {
 				// Nothing left to shrink at this level; force minimal
 				// on-chip tiles for every dimension as a final safety net.
 				for dim, size := range s.Prob.Shape {
@@ -218,21 +328,15 @@ func (s *Space) shrinkToFit(m *Mapping, logs [][4]float64) {
 // footprint tensor, and replaces its chain with the nearest one having a
 // strictly smaller cumulative factor (and no larger spatial factor, to keep
 // the PE budget satisfied). Returns false when no dimension can shrink.
-func (s *Space) shrinkOnce(m *Mapping, level arch.Level, logs [][4]float64) bool {
-	tile := m.CumulativeTile(level)
-	// Tensors by descending footprint.
-	type tfp struct {
-		t  int
-		fp float64
-	}
-	var order []tfp
-	for t := range s.Prob.Algo.Tensors {
-		order = append(order, tfp{t, float64(s.Prob.Algo.Tensors[t].Footprint(tile))})
-	}
-	sort.SliceStable(order, func(a, b int) bool { return order[a].fp > order[b].fp })
+func (s *Space) shrinkOnce(sc *scratch, m *Mapping, level arch.Level, logs [][4]float64) bool {
+	// Tensors by descending footprint (stable: ties keep tensor order).
+	fp := s.footprints(sc, m, level)
+	order := identityPermInto(resize(sc.idx, len(fp)))
+	sc.idx = order
+	insertionSort(order, func(a, b int) bool { return fp[a] > fp[b] })
 
-	for _, cand := range order {
-		tensor := &s.Prob.Algo.Tensors[cand.t]
+	for _, t := range order {
+		tensor := &s.Prob.Algo.Tensors[t]
 		bestDim := -1
 		bestProd := 1
 		for _, dim := range tensor.Dims {
@@ -244,13 +348,12 @@ func (s *Space) shrinkOnce(m *Mapping, level arch.Level, logs [][4]float64) bool
 		if bestDim < 0 {
 			continue
 		}
-		cur := m.Chain(bestDim)
-		curSpatial := cur[ChainSpatial]
+		curSpatial := m.Spatial[bestDim]
 		curProd := bandProduct(m, level, bestDim)
-		best := FactorChain{}
+		chains, chainLogs := s.chains[bestDim], s.chainLogs[bestDim]
+		best := -1
 		bestDist := math.Inf(1)
-		found := false
-		for _, c := range s.chains[bestDim] {
+		for i, c := range chains {
 			if c[ChainSpatial] > curSpatial {
 				continue
 			}
@@ -261,14 +364,13 @@ func (s *Space) shrinkOnce(m *Mapping, level arch.Level, logs [][4]float64) bool
 			if p >= curProd {
 				continue
 			}
-			if dist := c.LogDistance(logs[bestDim]); dist < bestDist {
+			if dist := logDistance(&chainLogs[i], &logs[bestDim]); dist < bestDist {
 				bestDist = dist
-				best = c
-				found = true
+				best = i
 			}
 		}
-		if found {
-			m.SetChain(bestDim, best)
+		if best >= 0 {
+			m.SetChain(bestDim, chains[best])
 			return true
 		}
 	}

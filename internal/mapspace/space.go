@@ -1,6 +1,7 @@
 package mapspace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -22,7 +23,12 @@ type Space struct {
 	Arch arch.Spec
 	Prob loopnest.Problem
 
-	chains [][]FactorChain // per-dimension ordered 4-way factorizations
+	// chains holds each dimension's ordered 4-way factorizations and
+	// chainLogs their log2 factors (chainLogs[d][i] = chains[d][i].Logs()),
+	// so projection scans never take a logarithm. Both are written once by
+	// New; a Space is read-only afterwards and safe for concurrent use.
+	chains    [][]FactorChain
+	chainLogs [][][4]float64
 }
 
 // New constructs the map space for the given accelerator and problem,
@@ -38,7 +44,13 @@ func New(a arch.Spec, p loopnest.Problem) (*Space, error) {
 	}
 	s := &Space{Arch: a, Prob: p}
 	for _, size := range p.Shape {
-		s.chains = append(s.chains, EnumerateChains(size))
+		chains := EnumerateChains(size)
+		logs := make([][4]float64, len(chains))
+		for i, c := range chains {
+			logs[i] = c.Logs()
+		}
+		s.chains = append(s.chains, chains)
+		s.chainLogs = append(s.chainLogs, logs)
 	}
 	min := s.minimalMapping()
 	if err := s.IsMember(&min); err != nil {
@@ -63,21 +75,31 @@ func (s *Space) FootprintWords(m *Mapping, level arch.Level, t int) float64 {
 	return float64(s.Prob.Algo.Tensors[t].Footprint(tile))
 }
 
+// footprints returns every tensor's footprint in words at a level, in the
+// scratch's fp buffer.
+func (s *Space) footprints(sc *scratch, m *Mapping, level arch.Level) []float64 {
+	sc.tile = m.CumulativeTileInto(sc.tile, level)
+	sc.fp = resize(sc.fp, s.NumTensors())
+	for t := range sc.fp {
+		sc.fp[t] = float64(s.Prob.Algo.Tensors[t].Footprint(sc.tile))
+	}
+	return sc.fp
+}
+
 // totalFootprint returns the summed tensor footprints at a level.
-func (s *Space) totalFootprint(m *Mapping, level arch.Level) float64 {
-	tile := m.CumulativeTile(level)
+func (s *Space) totalFootprint(sc *scratch, m *Mapping, level arch.Level) float64 {
 	total := 0.0
-	for t := range s.Prob.Algo.Tensors {
-		total += float64(s.Prob.Algo.Tensors[t].Footprint(tile))
+	for _, fp := range s.footprints(sc, m, level) {
+		total += fp
 	}
 	return total
 }
 
 // fitsBuffers reports whether the summed footprints fit the raw capacity of
 // both on-chip levels (a necessary condition for any allocation to exist).
-func (s *Space) fitsBuffers(m *Mapping) bool {
+func (s *Space) fitsBuffers(sc *scratch, m *Mapping) bool {
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
-		if s.totalFootprint(m, level) > float64(s.Arch.LevelWords(level))+allocTolerance {
+		if s.totalFootprint(sc, m, level) > float64(s.Arch.LevelWords(level))+allocTolerance {
 			return false
 		}
 	}
@@ -89,61 +111,111 @@ func (s *Space) fitsBuffers(m *Mapping) bool {
 // permutation validity, allocation bounds, and per-tensor footprint fit
 // within the allocated buffer share. A nil error means m ∈ M(a,p).
 func (s *Space) IsMember(m *Mapping) error {
+	sc := getScratch()
+	defer putScratch(sc)
+	return s.checkMember(sc, m, true)
+}
+
+// isMember is IsMember without building an error message, for the
+// operators' hot paths.
+func (s *Space) isMember(m *Mapping) bool {
+	sc := getScratch()
+	defer putScratch(sc)
+	return s.checkMember(sc, m, false) == nil
+}
+
+// errNotMember is checkMember's failure when no explanation is asked for.
+var errNotMember = errors.New("mapspace: not a member")
+
+// checkMember runs the membership checks. With explain false a failure
+// returns errNotMember, so rejecting a mapping formats nothing.
+func (s *Space) checkMember(sc *scratch, m *Mapping, explain bool) error {
 	d := s.NumDims()
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if len(m.Tile[l]) != d {
+			if !explain {
+				return errNotMember
+			}
 			return fmt.Errorf("mapspace: level %s has %d tile factors, want %d", l, len(m.Tile[l]), d)
 		}
 		if len(m.Order[l]) != d {
+			if !explain {
+				return errNotMember
+			}
 			return fmt.Errorf("mapspace: level %s has %d order entries, want %d", l, len(m.Order[l]), d)
 		}
 	}
 	if len(m.Spatial) != d {
+		if !explain {
+			return errNotMember
+		}
 		return fmt.Errorf("mapspace: %d spatial factors, want %d", len(m.Spatial), d)
 	}
 	for dim := 0; dim < d; dim++ {
 		c := m.Chain(dim)
 		for _, f := range c {
 			if f < 1 {
+				if !explain {
+					return errNotMember
+				}
 				return fmt.Errorf("mapspace: dim %s has non-positive factor in %v",
 					s.Prob.Algo.DimNames[dim], c)
 			}
 		}
 		if c.Product() != s.Prob.Shape[dim] {
+			if !explain {
+				return errNotMember
+			}
 			return fmt.Errorf("mapspace: dim %s factors %v product %d != size %d",
 				s.Prob.Algo.DimNames[dim], c, c.Product(), s.Prob.Shape[dim])
 		}
 	}
 	if pes := m.SpatialPEs(); pes > s.Arch.NumPEs {
+		if !explain {
+			return errNotMember
+		}
 		return fmt.Errorf("mapspace: spatial product %d exceeds %d PEs", pes, s.Arch.NumPEs)
 	}
 	for l := arch.L1; l < arch.NumLevels; l++ {
 		if !isPermutation(m.Order[l], d) {
+			if !explain {
+				return errNotMember
+			}
 			return fmt.Errorf("mapspace: level %s order %v is not a permutation", l, m.Order[l])
 		}
 	}
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		if len(m.Alloc[level]) != nt {
+			if !explain {
+				return errNotMember
+			}
 			return fmt.Errorf("mapspace: level %s has %d allocations, want %d",
 				level, len(m.Alloc[level]), nt)
 		}
 		sum := 0.0
 		for t, a := range m.Alloc[level] {
 			if a < 0 || a > 1 {
+				if !explain {
+					return errNotMember
+				}
 				return fmt.Errorf("mapspace: level %s tensor %s allocation %v out of [0,1]",
 					level, s.Prob.Algo.Tensors[t].Name, a)
 			}
 			sum += a
 		}
 		if sum > 1+allocTolerance {
+			if !explain {
+				return errNotMember
+			}
 			return fmt.Errorf("mapspace: level %s allocations sum to %v > 1", level, sum)
 		}
 		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
-		for t := range s.Prob.Algo.Tensors {
-			fp := float64(s.Prob.Algo.Tensors[t].Footprint(tile))
+		for t, fp := range s.footprints(sc, m, level) {
 			if fp > m.Alloc[level][t]*capWords+allocTolerance {
+				if !explain {
+					return errNotMember
+				}
 				return fmt.Errorf("mapspace: level %s tensor %s footprint %.0f words exceeds allocated %.0f",
 					level, s.Prob.Algo.Tensors[t].Name, fp, m.Alloc[level][t]*capWords)
 			}
@@ -152,9 +224,21 @@ func (s *Space) IsMember(m *Mapping) error {
 	return nil
 }
 
+// isPermutation reports whether p is a permutation of 0..n-1. Up to 64
+// entries are tracked in a bitmask, so the common case allocates nothing.
 func isPermutation(p []int, n int) bool {
 	if len(p) != n {
 		return false
+	}
+	if n <= 64 {
+		var seen uint64
+		for _, v := range p {
+			if v < 0 || v >= n || seen&(1<<v) != 0 {
+				return false
+			}
+			seen |= 1 << v
+		}
+		return true
 	}
 	seen := make([]bool, n)
 	for _, v := range p {
@@ -172,13 +256,16 @@ func isPermutation(p []int, n int) bool {
 // mapping, which is always valid.
 func (s *Space) Random(rng *rand.Rand) Mapping {
 	const maxTries = 64
+	sc := getScratch()
+	defer putScratch(sc)
+	m := s.emptyMapping()
 	for try := 0; try < maxTries; try++ {
-		m := s.randomTiling(rng)
-		if !s.fitsBuffers(&m) {
+		s.randomTiling(rng, &m)
+		if !s.fitsBuffers(sc, &m) {
 			continue
 		}
 		s.randomOrders(rng, &m)
-		s.randomAlloc(rng, &m)
+		s.randomAlloc(sc, rng, &m)
 		return m
 	}
 	min := s.minimalMapping()
@@ -186,86 +273,117 @@ func (s *Space) Random(rng *rand.Rand) Mapping {
 	return min
 }
 
-// randomTiling samples per-dimension factor chains under the PE budget,
-// visiting dimensions in random order so no dimension systematically starves
-// the spatial budget.
-func (s *Space) randomTiling(rng *rand.Rand) Mapping {
+// randomTiling samples per-dimension factor chains under the PE budget
+// into m, visiting dimensions in random order so no dimension
+// systematically starves the spatial budget.
+func (s *Space) randomTiling(rng *rand.Rand, m *Mapping) {
 	d := s.NumDims()
-	m := s.emptyMapping()
 	budget := s.Arch.NumPEs
 	for _, dim := range rng.Perm(d) {
-		// Filter to chains that respect the remaining spatial budget.
-		var eligible []FactorChain
-		for _, c := range s.chains[dim] {
-			if c[ChainSpatial] <= budget {
-				eligible = append(eligible, c)
-			}
-		}
-		c := eligible[rng.Intn(len(eligible))]
+		// budget stays >= 1, so a spatial-1 chain always qualifies.
+		c, _ := s.randomChain(rng, dim, budget)
 		m.SetChain(dim, c)
 		budget /= c[ChainSpatial]
 	}
-	return m
 }
 
+// randomChain draws uniformly among dimension dim's chains whose spatial
+// factor fits budget, drawing nothing when none does. It consumes the rng
+// exactly as indexing a filtered slice with rng.Intn would.
+func (s *Space) randomChain(rng *rand.Rand, dim, budget int) (FactorChain, bool) {
+	eligible := 0
+	for _, c := range s.chains[dim] {
+		if c[ChainSpatial] <= budget {
+			eligible++
+		}
+	}
+	if eligible == 0 {
+		return FactorChain{}, false
+	}
+	k := rng.Intn(eligible)
+	for _, c := range s.chains[dim] {
+		if c[ChainSpatial] <= budget {
+			if k == 0 {
+				return c, true
+			}
+			k--
+		}
+	}
+	return FactorChain{}, false // unreachable: k < eligible
+}
+
+// randomOrders draws each level's loop order in place, consuming the rng
+// exactly as rand.Perm does.
 func (s *Space) randomOrders(rng *rand.Rand, m *Mapping) {
 	for l := arch.L1; l < arch.NumLevels; l++ {
-		m.Order[l] = rng.Perm(s.NumDims())
+		perm := m.Order[l]
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
 	}
 }
 
 // randomAlloc assigns each tensor its required footprint share plus a
 // random split of (part of) the remaining capacity, so allocation stays a
 // genuinely free programmable attribute while remaining valid.
-func (s *Space) randomAlloc(rng *rand.Rand, m *Mapping) {
+func (s *Space) randomAlloc(sc *scratch, rng *rand.Rand, m *Mapping) {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
-		shares := make([]float64, nt)
+		shares := s.footprints(sc, m, level)
 		sum := 0.0
 		for t := range shares {
-			shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
+			shares[t] /= capWords
 			sum += shares[t]
 		}
 		slack := (1 - sum) * rng.Float64()
-		weights := make([]float64, nt)
+		weights := resize(sc.surplus, nt)
+		sc.surplus = weights
 		wsum := 0.0
 		for t := range weights {
 			weights[t] = rng.Float64() + 1e-6
 			wsum += weights[t]
 		}
-		m.Alloc[level] = make([]float64, nt)
 		for t := range shares {
 			m.Alloc[level][t] = shares[t] + slack*weights[t]/wsum
 		}
 	}
 }
 
+// emptyMapping returns a mapping shaped for the space with unit tiles,
+// identity orders and zero allocations. Its integer attributes share one
+// slab and its allocations another (two allocations in all); each view is
+// capacity-capped so an append cannot spill into its neighbour.
 func (s *Space) emptyMapping() Mapping {
-	d := s.NumDims()
+	d, nt := s.NumDims(), s.NumTensors()
+	ints := make([]int, (2*int(arch.NumLevels)+1)*d)
+	floats := make([]float64, arch.OnChipLevels*nt)
 	var m Mapping
 	for l := range m.Tile {
-		m.Tile[l] = make([]int, d)
-		for i := range m.Tile[l] {
-			m.Tile[l][i] = 1
-		}
+		m.Tile[l], ints = ints[:d:d], ints[d:]
+		fillOnes(m.Tile[l])
 	}
-	m.Spatial = make([]int, d)
-	for i := range m.Spatial {
-		m.Spatial[i] = 1
-	}
+	m.Spatial, ints = ints[:d:d], ints[d:]
+	fillOnes(m.Spatial)
 	for l := range m.Order {
-		m.Order[l] = identityPerm(d)
+		m.Order[l], ints = identityPermInto(ints[:d:d]), ints[d:]
 	}
 	for l := range m.Alloc {
-		m.Alloc[l] = make([]float64, s.NumTensors())
+		m.Alloc[l], floats = floats[:nt:nt], floats[nt:]
 	}
 	return m
 }
 
-func identityPerm(n int) []int {
-	p := make([]int, n)
+func fillOnes(p []int) {
+	for i := range p {
+		p[i] = 1
+	}
+}
+
+// identityPermInto writes 0..len(p)-1 into p and returns it.
+func identityPermInto(p []int) []int {
 	for i := range p {
 		p[i] = i
 	}
@@ -287,7 +405,9 @@ func (s *Space) minimalMapping() Mapping {
 	for dim, size := range s.Prob.Shape {
 		m.SetChain(dim, FactorChain{1, 1, 1, size})
 	}
-	s.coverAlloc(&m)
+	sc := getScratch()
+	defer putScratch(sc)
+	s.coverAlloc(sc, &m)
 	return m
 }
 
@@ -296,16 +416,17 @@ func (s *Space) minimalMapping() Mapping {
 // allocation-energy model, cheapest) allocation for the mapping's tiling.
 // It returns false when the tiling does not fit raw capacity.
 func (s *Space) TightenAlloc(m *Mapping) bool {
+	sc := getScratch()
+	defer putScratch(sc)
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
 		sum := 0.0
 		if len(m.Alloc[level]) != nt {
 			m.Alloc[level] = make([]float64, nt)
 		}
-		for t := range s.Prob.Algo.Tensors {
-			share := float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
+		for t, fp := range s.footprints(sc, m, level) {
+			share := fp / capWords
 			m.Alloc[level][t] = share
 			sum += share
 		}
@@ -317,20 +438,19 @@ func (s *Space) TightenAlloc(m *Mapping) bool {
 }
 
 // coverAlloc sets allocations to exactly cover footprints plus an even
-// share of the slack. It assumes footprints fit raw capacity.
-func (s *Space) coverAlloc(m *Mapping) {
+// share of the slack. It assumes footprints fit raw capacity and m is
+// shaped for the space.
+func (s *Space) coverAlloc(sc *scratch, m *Mapping) {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
+		shares := s.footprints(sc, m, level)
 		sum := 0.0
-		shares := make([]float64, nt)
 		for t := range shares {
-			shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
+			shares[t] /= capWords
 			sum += shares[t]
 		}
 		slack := math.Max(0, 1-sum)
-		m.Alloc[level] = make([]float64, nt)
 		for t := range shares {
 			m.Alloc[level][t] = shares[t] + slack/float64(nt)
 		}
@@ -342,15 +462,14 @@ func (s *Space) coverAlloc(m *Mapping) {
 // fit the remaining capacity, and proportions are otherwise preserved. It
 // returns false when the tiling's footprints exceed raw capacity (no
 // allocation can fix that).
-func (s *Space) repairAlloc(m *Mapping) bool {
+func (s *Space) repairAlloc(sc *scratch, m *Mapping) bool {
 	nt := s.NumTensors()
 	for level := arch.L1; level < arch.OnChipLevels; level++ {
 		capWords := float64(s.Arch.LevelWords(level))
-		tile := m.CumulativeTile(level)
-		shares := make([]float64, nt)
+		shares := s.footprints(sc, m, level)
 		sumShares := 0.0
 		for t := range shares {
-			shares[t] = float64(s.Prob.Algo.Tensors[t].Footprint(tile)) / capWords
+			shares[t] /= capWords
 			sumShares += shares[t]
 		}
 		if sumShares > 1+allocTolerance {
@@ -359,7 +478,8 @@ func (s *Space) repairAlloc(m *Mapping) bool {
 		if len(m.Alloc[level]) != nt {
 			m.Alloc[level] = make([]float64, nt)
 		}
-		surplus := make([]float64, nt)
+		surplus := resize(sc.surplus, nt)
+		sc.surplus = surplus
 		sumSurplus := 0.0
 		for t := range shares {
 			surplus[t] = math.Max(0, math.Min(1, m.Alloc[level][t])-shares[t])

@@ -39,7 +39,13 @@ type Span struct {
 	end      time.Time // zero while running
 	children []*Span
 	dropped  int
-	attrs    map[string]any
+	attrs    []attr // a handful per span; a slice is far smaller than a map
+}
+
+// attr is one span attribute.
+type attr struct {
+	key   string
+	value any
 }
 
 // Trace is a per-job/per-request span tree.
@@ -71,14 +77,16 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Check the cap before allocating the child or reading the clock: a
+	// long job drops most of its per-stride spans here.
 	if len(s.children) >= MaxChildren {
 		s.dropped++
 		droppedSpans.Add(1)
 		return nil
 	}
+	c := &Span{name: name, start: time.Now()}
 	s.children = append(s.children, c)
 	return c
 }
@@ -103,11 +111,14 @@ func (s *Span) Set(key string, value any) {
 		return
 	}
 	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].key == key {
+			s.attrs[i].value = value
+			return
+		}
 	}
-	s.attrs[key] = value
-	s.mu.Unlock()
+	s.attrs = append(s.attrs, attr{key, value})
 }
 
 type spanCtxKey struct{}
@@ -170,8 +181,8 @@ func (s *Span) snapshot(origin, now time.Time) SpanSnapshot {
 	var attrs map[string]any
 	if len(s.attrs) > 0 {
 		attrs = make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			attrs[k] = v
+		for _, a := range s.attrs {
+			attrs[a.key] = a.value
 		}
 	}
 	children := append([]*Span(nil), s.children...)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -106,6 +107,40 @@ func TestSpanChildCapBoundsMemory(t *testing.T) {
 	}
 	if snap.Dropped != 10 {
 		t.Fatalf("dropped = %d, want 10", snap.Dropped)
+	}
+}
+
+// TestSpanCappedStartChildAllocatesNothing pins that a start refused by
+// the child cap allocates nothing: a long job drops most of its
+// per-stride spans this way.
+func TestSpanCappedStartChildAllocatesNothing(t *testing.T) {
+	tr := NewTrace("job-5", "job")
+	for i := 0; i < MaxChildren; i++ {
+		tr.Root().StartChild("stride").End()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if c := tr.Root().StartChild("stride"); c != nil {
+			t.Fatal("start past the cap returned a span")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("capped StartChild allocated %v times per call, want 0", allocs)
+	}
+}
+
+func TestSpanSetOverwritesExistingKey(t *testing.T) {
+	tr := NewTrace("job-6", "job")
+	r := tr.Root()
+	r.Set("evals", 1)
+	r.Set("model", "m-1")
+	r.Set("evals", 2)
+	tr.End()
+	b, err := json.Marshal(tr.Snapshot().Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(b), `{"evals":2,"model":"m-1"}`; got != want {
+		t.Fatalf("attrs JSON = %s, want %s", got, want)
 	}
 }
 

@@ -107,14 +107,14 @@ func (g GeneticAlgorithm) Search(ctx *Context, budget Budget) (Result, error) {
 		for i := 0; i < t.remainingEvals(len(current)-len(next)); i++ {
 			parentA := tournament(rng, current, tk)
 			parentB := tournament(rng, current, tk)
-			var child mapspace.Mapping
+			// Mutate copies its input, so a parent that skips crossover
+			// is mutated directly rather than cloned first.
+			parent := &parentA.m
 			if rng.Float64() < px {
-				child = ctx.Space.Crossover(rng, &parentA.m, &parentB.m)
-			} else {
-				child = parentA.m.Clone()
+				cross := ctx.Space.Crossover(rng, &parentA.m, &parentB.m)
+				parent = &cross
 			}
-			child = ctx.Space.Mutate(rng, &child, pm)
-			cohort = append(cohort, child)
+			cohort = append(cohort, ctx.Space.Mutate(rng, parent, pm))
 		}
 		if vals, err = t.payEvalBatch(cohort, vals); err != nil {
 			return Result{}, err

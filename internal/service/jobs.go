@@ -2094,6 +2094,9 @@ func buildResult(res *search.Result, space *mapspace.Space) *JobResult {
 		out.Mapping = res.Best.String()
 		out.LoopNest = space.RenderLoopNest(&res.Best)
 	}
+	if len(res.Trajectory) > 0 {
+		out.Trajectory = make([]TrajectoryPoint, 0, len(res.Trajectory))
+	}
 	for _, s := range res.Trajectory {
 		out.Trajectory = append(out.Trajectory, TrajectoryPoint{
 			Eval:      s.Eval,
